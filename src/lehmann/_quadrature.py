@@ -8,6 +8,7 @@ and integrable endpoint singularities are safe.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from scipy import integrate
@@ -27,7 +28,8 @@ def integrate_unit(
     """Integrate ``f`` over (0, 1); return ``(value, error_estimate)``.
 
     Raises :class:`NumericalError` carrying the best estimate when the
-    error bound is still above tolerance after maximal refinement.
+    value or its error bound is not finite, or when the error bound is
+    still above tolerance after maximal refinement.
     """
     out = integrate.quad(
         f, 0.0, 1.0,
@@ -35,6 +37,13 @@ def integrate_unit(
         limit=MAX_SUBDIVISIONS, full_output=1,
     )
     value, err = out[0], out[1]
+    # an infinite error bound never compares above tol * |inf|
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NumericalError(
+            f"quadrature returned a non-finite result: value {value!r}, "
+            f"error estimate {err!r}",
+            value=value, error_estimate=err,
+        )
     # quad appends an explanation message when it could not converge
     if len(out) >= 4 and err > max(abs_tol, rel_tol * abs(value)):
         raise NumericalError(

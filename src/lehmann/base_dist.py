@@ -12,6 +12,13 @@ Densities and CDFs are total functions on the reals (zero / clamped
 outside the support); quantiles are defined on the open interval (0, 1)
 only. Parameters are validated at construction, never at evaluation, and
 instances are immutable.
+
+The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf``) are the one
+kernel contract the likelihood engine uses. They must also work on the
+unvalidated instance :meth:`BaseDistribution._at_columns` builds, whose
+parameters are ``(R, 1)`` columns broadcasting against an ``(R, n)``
+sample block, and give each row the bits a scalar instance would: take
+logs and powers of parameters through :func:`_plog` and :func:`_ppow`.
 """
 
 from __future__ import annotations
@@ -35,6 +42,37 @@ def log1mexp(z):
         near = np.log(-np.expm1(z))
         far = np.log1p(-np.exp(z))
     return np.where(z > -_LN2, near, far)
+
+
+def _plog(v):
+    """math.log of a parameter, or of each entry of a parameter column.
+
+    np.log and math.log can differ in the last ulp, so a column is logged
+    row by row to keep block and scalar evaluations bit-identical.
+    """
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(math.log, v.ravel().tolist()), float, v.size).reshape(v.shape)
+    return math.log(v)
+
+
+# exponents numpy evaluates as a cheaper ufunc when ``y ** k`` has a scalar k
+_SCALAR_POWER_SHORTCUTS = ((2.0, np.square), (0.5, np.sqrt))
+
+
+def _ppow(y, k):
+    """y ** k for a parameter k, or row by row for an (R, 1) column k.
+
+    numpy evaluates a scalar exponent of 2 or 1/2 as a square or square
+    root, which need not match the general power in the last ulp; rows
+    of a column holding those exponents take the same shortcut so each
+    row equals its scalar evaluation.
+    """
+    out = y ** k
+    if isinstance(k, np.ndarray):
+        for special, fn in _SCALAR_POWER_SHORTCUTS:
+            rows = np.flatnonzero(k[:, 0] == special)
+            out[rows] = fn(y[rows])
+    return out
 
 
 def _ret(out, x):
@@ -67,7 +105,8 @@ class BaseDistribution(ABC):
     ``param_names`` order. They implement the vectorized kernels
     ``_pdf``, ``_log_pdf``, ``_cdf``, ``_log_cdf``, ``_log_sf`` and
     ``_quantile``; the public methods handle scalar round-tripping and
-    argument validation.
+    argument validation. The three log kernels also accept parameter
+    columns (see the module docstring and :meth:`_at_columns`).
     """
 
     family_id: ClassVar[str]
@@ -79,6 +118,21 @@ class BaseDistribution(ABC):
     def theta(self) -> tuple[float, ...]:
         """Parameter vector, in ``param_names`` order."""
         return tuple(getattr(self, name) for name in self.param_names)
+
+    @classmethod
+    def _at_columns(cls, theta: np.ndarray) -> "BaseDistribution":
+        """Unvalidated instance whose parameters are the columns of theta.
+
+        ``theta`` has shape ``(R, len(param_names))``; each parameter
+        becomes an ``(R, 1)`` column, so the log kernels evaluate R
+        parameter points against an ``(R, n)`` block in one call. The
+        caller validates the parameter box once; nothing else may be
+        called on the result.
+        """
+        obj = object.__new__(cls)
+        for j, name in enumerate(cls.param_names):
+            object.__setattr__(obj, name, theta[:, j:j + 1])
+        return obj
 
     @classmethod
     def from_theta(cls, theta) -> "BaseDistribution":
@@ -244,7 +298,7 @@ class Exponential(BaseDistribution):
         return np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
 
     def _log_pdf(self, x):
-        return np.where(x >= 0.0, math.log(self.rate) - self.rate * x, -np.inf)
+        return np.where(x >= 0.0, _plog(self.rate) - self.rate * x, -np.inf)
 
     def _cdf(self, x):
         return -np.expm1(self._z(x))
@@ -285,7 +339,7 @@ class Weibull(BaseDistribution):
 
     def _z(self, x):
         # (x/scale)**shape on x >= 0, 0 below
-        return (np.maximum(x, 0.0) / self.scale) ** self.shape
+        return _ppow(np.maximum(x, 0.0) / self.scale, self.shape)
 
     def _pdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -294,10 +348,14 @@ class Weibull(BaseDistribution):
 
     def _log_pdf(self, x):
         k, s = self.shape, self.scale
-        if k == 1.0:
+        if not isinstance(k, np.ndarray) and k == 1.0:
             return np.where(x >= 0.0, -math.log(s) - x / s, -np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            body = math.log(k / s) + (k - 1.0) * np.log(x / s) - self._z(x)
+            body = _plog(k / s) + (k - 1.0) * np.log(x / s) - self._z(x)
+            if isinstance(k, np.ndarray):
+                # rows at shape 1 take the exponential form, as a scalar would
+                ones = np.flatnonzero(k[:, 0] == 1.0)
+                body[ones] = -_plog(s[ones]) - x[ones] / s[ones]
         return np.where(x >= 0.0, body, -np.inf)
 
     def _cdf(self, x):

@@ -19,13 +19,22 @@ stream keyed by (seed, cell_index, replication_index), where cell 0 is
 calibration and grid cell i uses index i + 1. Reports are therefore
 byte-identical across runs and schedule-independent.
 
+The replications of a cell are drawn into ``(R, n)`` blocks and fitted
+together by the block engine of :mod:`lehmann.estimate`; every row gets
+the bits :func:`lrt_statistics` gives its sample alone.
+
 Per replication the harness also records the per-observation mean log
 likelihood ratio between the two fitted alternatives,
-(ll_full - ll_restricted) / n, whose expectation is the divergence that
-``power_loss_closed`` expresses in closed form; the report carries both
-so the bridge can be checked. No claim is made that the divergence (in
-nats) equals the power difference (in probability units); the report
-exposes the qualitative ordering and the divergence separately.
+(ll_full - ll_restricted) / n. For a parameter-free base (uniform) its
+expectation is the divergence ``ln(lam) + (1 - lam)/lam`` that
+``power_loss_closed`` gives in closed form, and the report carries both
+so the bridge can be checked. When theta is refit, the restricted fit
+converges to the pseudo-true parameter instead, and the mean estimates
+the projection divergence min over theta of KL(G(lam, theta0) || F(theta)),
+which is smaller than the closed form. No claim is made that the
+divergence (in nats) equals the power difference (in probability units);
+the report exposes the qualitative ordering and the divergence
+separately.
 """
 
 from __future__ import annotations
@@ -34,15 +43,25 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 from .base_dist import FAMILIES, BaseDistribution
 from .descriptors import parse_base
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
-from .estimate import FitResult, fit_full, fit_restricted, loglik
+from .estimate import (
+    _all_equal_rows,
+    _check_support,
+    _checked_box,
+    _degenerate_guard,
+    _evaluate,
+    _fit_block,
+    _resolve_family,
+    loglik,
+)
 from .extend import Kind, _coerce_kind, extend, sample_values
 from .infotheory import power_loss_closed
 from .rng import GENERATOR_ID, open_uniform, substream
@@ -50,6 +69,9 @@ from .rng import GENERATOR_ID, open_uniform, substream
 logger = logging.getLogger("lehmann.lrt_sim")
 
 _CAL_CELL = 0  # stream cell index reserved for calibration draws
+_MIN_CALIBRATION = 1000  # replications behind a stable (1 - alpha) quantile
+# sample values drawn and fitted per block; caps the engine's working set
+_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -90,17 +112,15 @@ class SimConfig:
             raise DomainError(
                 f"replications must be >= 100, got {self.replications!r}"
             )
-        if self.calibration_replications < 1:
-            raise DomainError("calibration_replications must be >= 1")
+        if self.calibration_replications < _MIN_CALIBRATION:
+            raise DomainError(
+                f"calibration_replications must be >= {_MIN_CALIBRATION} for a "
+                f"stable quantile, got {self.calibration_replications!r}"
+            )
 
     @property
     def base(self) -> BaseDistribution:
-        family = FAMILIES.get(self.base_family)
-        if family is None:
-            raise DomainError(
-                f"unknown base family {self.base_family!r}; known: {sorted(FAMILIES)}"
-            )
-        return family.from_theta(self.theta0)
+        return _resolve_family(self.base_family).from_theta(self.theta0)
 
     def effective_theta_bounds(self) -> tuple[tuple[float, float], ...]:
         """Explicit bounds if given, else a wide box around theta0."""
@@ -227,38 +247,122 @@ def config_hash(cfg: SimConfig) -> str:
 # -- statistics ----------------------------------------------------------------
 
 
+def _null_loglik(cfg: SimConfig, X: np.ndarray) -> np.ndarray:
+    """Validate a sample block against the null law; ln L(1, theta0) per row."""
+    base = cfg.base
+    _check_support(base, X)
+    return _evaluate(cfg.kind, base, X, 1.0)[0]
+
+
+def _lrt_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray):
+    """LRT statistics for every row of a validated sample block.
+
+    ``ll0`` holds each row's null log-likelihood ln L(1, theta0). Exact
+    nesting is enforced row by row: the null theta0 competes as a
+    candidate in the restricted fit and the restricted solution competes
+    in the full fit, so full >= misspec >= 0 holds on every kept row as
+    a float comparison, not just in expectation. A row fails when its
+    values are all equal (base parameters unidentified) or when the
+    exponent MLE is undefined at the full fit. Returns ``(full,
+    misspec, failed)``: the statistics of the kept rows in row order and
+    the mask of failed rows.
+    """
+    family = FAMILIES[cfg.base_family]
+    failed = _all_equal_rows(family, X)
+    keep = ~failed
+    X, ll0 = X[keep], ll0[keep]
+    if cfg.theta0:
+        bounds, _ = _checked_box(family, cfg.effective_theta_bounds())
+        theta0 = np.tile(np.asarray(cfg.theta0, dtype=float), (len(X), 1))
+        theta_r, restr, _ = _fit_block(cfg.kind, family, X, bounds, 1.0, (theta0,))
+        back = restr < ll0
+        theta_r[back] = theta0[back]
+        restr = np.where(back, ll0, restr)
+        _, full, degenerate = _fit_block(cfg.kind, family, X, bounds, None, (theta_r,))
+    else:
+        restr = ll0
+        full, degenerate = _evaluate(cfg.kind, cfg.base, X, None)
+    full = np.where(full < restr, restr, full)
+    failed[keep] = degenerate
+    ok = ~degenerate
+    return 2.0 * (full[ok] - ll0[ok]), 2.0 * (restr[ok] - ll0[ok]), failed
+
+
+class _FittedRow(NamedTuple):
+    """One replication fitted as a row of a block: its values and its
+    ``(full, misspec)`` statistics, ``None`` when the fit failed."""
+
+    values: np.ndarray
+    stats: tuple[float, float] | None
+
+
+def _fitted_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray) -> list[_FittedRow]:
+    full, misspec, failed = _lrt_rows(cfg, X, ll0)
+    kept = zip(full.tolist(), misspec.tolist())
+    return [_FittedRow(x, None if bad else next(kept))
+            for x, bad in zip(X, failed.tolist())]
+
+
 def lrt_statistics(s, cfg: SimConfig) -> tuple[float, float]:
     """(full, misspec) LRT statistics for one sample.
 
     Exact nesting is enforced: the null theta0 competes as a candidate
     in the restricted fit and the restricted solution competes in the
     full fit, so full >= misspec >= 0 holds on every replication as a
-    float comparison, not just in expectation.
-    """
-    x = sample_values(s)
-    family, theta0 = cfg.base_family, cfg.theta0
-    dim = len(theta0)
-    bounds = cfg.effective_theta_bounds() if dim else None
-    extras = (theta0,) if dim else ()
+    float comparison, not just in expectation. Raises
+    DegenerateSampleError when the sample cannot be fitted.
 
-    ll0 = loglik(cfg.kind, family, theta0, 1.0, x)
-    restr = fit_restricted(
-        cfg.kind, family, x, 1.0, theta_bounds=bounds, extra_candidates=extras
-    )
-    if restr.loglik < ll0:
-        restr = replace(restr, theta_hat=theta0, loglik=ll0)
-    full_extras = ((restr.theta_hat,) if dim else ())
-    full = fit_full(
-        cfg.kind, family, x, theta_bounds=bounds, extra_candidates=full_extras
-    )
-    if full.loglik < restr.loglik:
-        full = FitResult(1.0, restr.theta_hat, restr.loglik, full.n)
-    return 2.0 * (full.loglik - ll0), 2.0 * (restr.loglik - ll0)
+    Power studies fit their replications a block at a time and pass
+    each fitted row through here, so every replication of a study is
+    returned, or fails, at this one call, as a lone sample would.
+    """
+    if isinstance(s, _FittedRow):
+        row = s
+    else:
+        x = sample_values(s)
+        ll0 = loglik(cfg.kind, cfg.base_family, cfg.theta0, 1.0, x)
+        row = _fitted_rows(cfg, x[None, :], np.array([ll0]))[0]
+    if row.stats is None:
+        _degenerate_guard(FAMILIES[cfg.base_family], row.values)
+        raise DegenerateSampleError(
+            "the sample saturates the base CDF at the fitted parameters; "
+            "the exponent MLE is undefined"
+        )
+    return row.stats
+
+
+def _draw_block(cfg: SimConfig, dist, cell: int, reps) -> np.ndarray:
+    """Replications ``reps`` of one stream cell, one row each."""
+    u = np.empty((len(reps), cfg.n))
+    for i, rep in enumerate(reps):
+        u[i] = open_uniform(substream(cfg.seed, cell, rep), cfg.n)
+    return dist.quantile(u)
 
 
 def _null_replication(cfg: SimConfig, cell: int, rep: int) -> np.ndarray:
-    gen = substream(cfg.seed, cell, rep)
-    return cfg.base.quantile(open_uniform(gen, cfg.n))
+    return _draw_block(cfg, cfg.base, cell, [rep])[0]
+
+
+def _cell_statistics(cfg: SimConfig, dist, cell: int, replications: int):
+    """Both statistics over the kept replications of one cell, in order.
+
+    Replications are drawn and fitted a block at a time; each one then
+    goes through :func:`lrt_statistics`, and a failed fit is excluded.
+    Returns ``(full, misspec, failures)``.
+    """
+    rows = max(1, _BLOCK_VALUES // cfg.n)
+    fulls, missps, failures = [], [], 0
+    for first in range(0, replications, rows):
+        X = _draw_block(cfg, dist, cell, range(first, min(first + rows, replications)))
+        for row in _fitted_rows(cfg, X, _null_loglik(cfg, X)):
+            try:
+                full, misspec = lrt_statistics(row, cfg)
+            except DegenerateSampleError:
+                failures += 1
+                continue
+            fulls.append(full)
+            missps.append(misspec)
+    return np.array(fulls, dtype=float), np.array(missps, dtype=float), failures
 
 
 def calibrate(cfg: SimConfig) -> tuple[float, float]:
@@ -268,40 +372,24 @@ def calibrate(cfg: SimConfig) -> tuple[float, float]:
     `stat > crit` has size at most alpha on the calibration draws.
     Deterministic given cfg.seed.
     """
-    if cfg.calibration_replications < 1000:
-        raise DomainError(
-            "calibration_replications must be >= 1000 for a stable quantile, "
-            f"got {cfg.calibration_replications}"
-        )
-    fulls = np.empty(cfg.calibration_replications)
-    missps = np.empty(cfg.calibration_replications)
-    failures = 0
-    kept = 0
-    for rep in range(cfg.calibration_replications):
-        x = _null_replication(cfg, _CAL_CELL, rep)
-        try:
-            f, m = lrt_statistics(x, cfg)
-        except (DegenerateSampleError, NumericalError):
-            failures += 1
-            continue
-        fulls[kept] = f
-        missps[kept] = m
-        kept += 1
-    if kept == 0:
+    fulls, missps, failures = _cell_statistics(
+        cfg, cfg.base, _CAL_CELL, cfg.calibration_replications
+    )
+    if fulls.size == 0:
         raise NumericalError("every calibration replication failed to fit")
     if failures:
         logger.warning("calibration: %d of %d replications failed and were excluded",
                        failures, cfg.calibration_replications)
     q = 1.0 - cfg.alpha
-    crit_full = float(np.quantile(fulls[:kept], q, method="higher"))
-    crit_misspec = float(np.quantile(missps[:kept], q, method="higher"))
+    crit_full = float(np.quantile(fulls, q, method="higher"))
+    crit_misspec = float(np.quantile(missps, q, method="higher"))
 
     df_full = 1 + len(cfg.theta0)
-    wilks = float(chi2.ppf(q, df_full))
+    wilks = float(chdtri(df_full, 1.0 - q))
     logger.info(
         "calibrated crit_full=%.4f (Wilks chi2 df=%d would give %.4f; "
         "diagnostic only), crit_misspec=%.4f, mean null full stat=%.3f",
-        crit_full, df_full, wilks, crit_misspec, float(np.mean(fulls[:kept])),
+        crit_full, df_full, wilks, crit_misspec, float(np.mean(fulls)),
     )
     return crit_full, crit_misspec
 
@@ -311,7 +399,17 @@ def calibrate(cfg: SimConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Power-study results for one grid exponent."""
+    """Power-study results for one grid exponent.
+
+    ``mean_log_ratio`` is the mean over kept replications of
+    (ll_full - ll_restricted) / n, with standard error
+    ``se_mean_log_ratio``. ``delta_closed`` is ``ln(lam) + (1-lam)/lam``,
+    the divergence of G(lam, theta0) from G(1, theta0) at the same base
+    parameters: the value ``mean_log_ratio`` estimates for a
+    parameter-free base only. When theta is refit, ``mean_log_ratio``
+    estimates the projection divergence min over theta of
+    KL(G(lam, theta0) || F(theta)), which is smaller.
+    """
 
     lam: float
     power_full: float
@@ -419,23 +517,10 @@ def run_power_study(cfg: SimConfig) -> LrtReport:
     cells = []
     warnings: list[str] = []
     for i, lam in enumerate(cfg.lambda_grid):
-        gdist = extend(base, lam, cfg.kind)
-        rej_full = 0
-        rej_misspec = 0
-        ratios = []
-        failures = 0
-        for rep in range(cfg.replications):
-            gen = substream(cfg.seed, i + 1, rep)
-            x = gdist.quantile(open_uniform(gen, cfg.n))
-            try:
-                f, m = lrt_statistics(x, cfg)
-            except (DegenerateSampleError, NumericalError):
-                failures += 1
-                continue
-            rej_full += f > crit_full
-            rej_misspec += m > crit_misspec
-            ratios.append((f - m) / (2.0 * cfg.n))
-        kept = cfg.replications - failures
+        fulls, missps, failures = _cell_statistics(
+            cfg, extend(base, lam, cfg.kind), i + 1, cfg.replications
+        )
+        kept = fulls.size
         if kept == 0:
             warnings.append(f"cell lambda={lam!r}: all replications failed")
             cells.append(CellResult(lam, math.nan, math.nan, math.nan, math.nan,
@@ -447,12 +532,12 @@ def run_power_study(cfg: SimConfig) -> LrtReport:
                 f"cell lambda={lam!r}: {failures} of {cfg.replications} "
                 "replications failed to fit (over 1%)"
             )
-        p_f = rej_full / kept
-        p_m = rej_misspec / kept
-        ratios_arr = np.asarray(ratios)
-        mlr = float(np.mean(ratios_arr))
+        p_f = int(np.count_nonzero(fulls > crit_full)) / kept
+        p_m = int(np.count_nonzero(missps > crit_misspec)) / kept
+        ratios = (fulls - missps) / (2.0 * cfg.n)
+        mlr = float(np.mean(ratios))
         se_mlr = (
-            float(np.std(ratios_arr, ddof=1)) / math.sqrt(kept)
+            float(np.std(ratios, ddof=1)) / math.sqrt(kept)
             if kept >= 2 else math.inf
         )
         cells.append(

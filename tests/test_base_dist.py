@@ -154,3 +154,18 @@ def test_weibull_shape_one_is_exponential():
     x = np.linspace(0.0, 10.0, 50)
     assert np.allclose(w.pdf(x), e.pdf(x), rtol=1e-13)
     assert np.allclose(w.cdf(x), e.cdf(x), rtol=1e-13)
+
+
+@pytest.mark.parametrize("family,theta", [
+    (Uniform, [(), ()]),
+    (Exponential, [(1.0,), (0.3,), (7.5,)]),
+    # shapes 1, 2 and 1/2 take special scalar paths (exponential form,
+    # square, square root); their rows must follow them
+    (Weibull, [(1.0, 0.7), (2.0, 1.3), (0.5, 2.0), (1.7, 0.9)]),
+])
+def test_column_kernels_match_scalar_instances(family, theta):
+    x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
+    columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
+    for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
+        rows = [getattr(family(*t), kernel)(xi) for t, xi in zip(theta, x)]
+        assert np.array_equal(getattr(columns, kernel)(x), np.stack(rows)), kernel

@@ -224,6 +224,15 @@ def test_simulate_bad_config_is_usage_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_simulate_too_few_calibration_replications_is_usage_error(runner, tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(UNIFORM_SIM_CONFIG.replace("calibration_replications = 1000",
+                                              "calibration_replications = 999"))
+    res = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert "calibration_replications must be >= 1000" in res.output
+
+
 def test_every_subcommand_has_help(runner):
     for name in ["sample", "fit", "moments", "kl", "powerloss", "simulate"]:
         res = invoke(runner, [name, "--help"])

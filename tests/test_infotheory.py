@@ -11,6 +11,7 @@ from lehmann import (
     Exponential,
     Kind,
     KlResult,
+    NumericalError,
     Uniform,
     Weibull,
     empirical_kl_objective,
@@ -54,6 +55,17 @@ def test_kl_matches_closed_form_power_loss(base, lam):
 def test_kl_base_independence(lam):
     values = [kl_numeric(extend(b, lam), extend(b, 1.0)).value for b in BASES]
     assert max(values) - min(values) < 1e-8
+
+
+def test_kl_non_finite_quadrature_raises_with_the_estimate():
+    # ln q diverges at the upper end of the unit interval faster than the
+    # quadrature can refine; quad reports inf with an infinite error bound
+    p = extend(Uniform(), 0.2, Kind.SECOND)
+    q = extend(Uniform(), 1.0, Kind.SECOND)
+    with pytest.raises(NumericalError) as info:
+        kl_numeric(p, q)
+    assert info.value.value == math.inf
+    assert info.value.error_estimate == math.inf
 
 
 def test_kl_rejects_support_mismatch():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +146,23 @@ def test_lrt_statistics_uniform_misspec_is_identically_zero():
 def test_calibrate_requires_enough_replications():
     with pytest.raises(DomainError):
         calibrate(uniform_cfg(calibration_replications=999))
+
+
+def test_too_few_calibration_replications_fail_at_parse_time():
+    with pytest.raises(DomainError, match="calibration_replications"):
+        uniform_cfg(calibration_replications=999)
+    text = CONFIG_TEXT.replace("calibration_replications = 1000",
+                               "calibration_replications = 999")
+    with pytest.raises(ParseError, match="calibration_replications must be >= 1000"):
+        parse_sim_config(text)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, lehmann, lehmann.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_calibrate_is_deterministic_and_monotone_in_alpha():
