@@ -4,21 +4,29 @@ A :class:`BaseDistribution` bundles a parameterized law with its density,
 distribution function, and closed-form quantile. Three families ship with
 the package (uniform on the unit interval, exponential, Weibull), covering
 bounded, light-tailed half-line, and lifetime-shaped supports. New
-families can be added with :func:`register_family`; they only need the
-vectorized kernels below, including a log-CDF and log-survival path so
-downstream exponent arithmetic stays in log space.
+families can be added with :func:`register_family`.
+
+The family contract is three vectorized kernels and a support:
+``_log_pdf`` (ln f), ``_log_sf`` (ln(1 - F)) and ``_quantile`` (F^-1 on
+(0, 1)). Everything else derives from them: ``_pdf = exp(_log_pdf)``,
+``_cdf = -expm1(_log_sf)`` and ``_log_cdf = log1mexp(_log_sf)``, so
+exponent arithmetic downstream stays in log space. A family overrides a
+derived kernel only where a direct form is exact or more accurate, and
+``_quantile_sf`` (the inverse survival function) where its upper tail
+has more resolution than ``1 - s`` can carry. The public methods
+(``_Law``) are shared with the powered laws of :mod:`lehmann.extend`.
 
 Densities and CDFs are total functions on the reals (zero / clamped
 outside the support); quantiles are defined on the open interval (0, 1)
 only. Parameters are validated at construction, never at evaluation, and
 instances are immutable.
 
-The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf``) are the one
-kernel contract the likelihood engine uses. They must also work on the
-unvalidated instance :meth:`BaseDistribution._at_columns` builds, whose
-parameters are ``(R, 1)`` columns broadcasting against an ``(R, n)``
-sample block, and give each row the bits a scalar instance would: take
-logs and powers of parameters through :func:`_plog` and :func:`_ppow`.
+The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf``) are the kernels
+the likelihood engine uses. They must also work on the unvalidated
+instance :meth:`BaseDistribution._at_columns` builds, whose parameters
+are ``(R, 1)`` columns broadcasting against an ``(R, n)`` sample block,
+and give each row the bits a scalar instance would: take logs and powers
+of parameters through :func:`_plog` and :func:`_ppow`.
 """
 
 from __future__ import annotations
@@ -80,33 +88,92 @@ def _ret(out, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+# open-interval clamp targets for arguments fed to quantile kernels
+_OPEN_LO = float(np.nextafter(0.0, 1.0))
+_OPEN_HI = float(np.nextafter(1.0, 0.0))
+
+
+def _finite_positive(name: str, value) -> float:
+    """``value`` as a float; DomainError unless it is finite and > 0."""
+    v = float(value)
+    if not (math.isfinite(v) and v > 0.0):
+        raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Support:
-    """A real interval with open/closed endpoint flags."""
+    """A closed real interval."""
 
     lower: float
     upper: float
-    lower_open: bool = False
-    upper_open: bool = False
 
     def contains(self, x):
         """Elementwise membership test (scalar in, bool out)."""
         x = np.asarray(x, dtype=float)
-        lo = x > self.lower if self.lower_open else x >= self.lower
-        hi = x < self.upper if self.upper_open else x <= self.upper
-        ok = lo & hi
+        ok = (x >= self.lower) & (x <= self.upper)
         return bool(ok) if ok.ndim == 0 else ok
 
 
-class BaseDistribution(ABC):
+class _Law:
+    """The public evaluation layer over a law's vectorized kernels.
+
+    A law implements ``_log_pdf``, ``_log_sf`` and ``_quantile``; the
+    other kernels default to their log-space derivations below. The
+    public methods handle scalar round-tripping and argument validation.
+    """
+
+    def pdf(self, x):
+        """Density; zero outside the support."""
+        arr = np.asarray(x, dtype=float)
+        return _ret(self._pdf(arr), x)
+
+    def log_pdf(self, x):
+        """Log density; -inf where the density vanishes."""
+        arr = np.asarray(x, dtype=float)
+        return _ret(self._log_pdf(arr), x)
+
+    def cdf(self, x):
+        """Distribution function, clamped to [0, 1] on the whole real line."""
+        arr = np.asarray(x, dtype=float)
+        return _ret(self._cdf(arr), x)
+
+    def log_cdf(self, x):
+        """Log of the distribution function, computed in log space."""
+        arr = np.asarray(x, dtype=float)
+        return _ret(self._log_cdf(arr), x)
+
+    def log_sf(self, x):
+        """Log survival function ln(1 - CDF)."""
+        arr = np.asarray(x, dtype=float)
+        return _ret(self._log_sf(arr), x)
+
+    def quantile(self, u):
+        """Inverse distribution function for u strictly inside (0, 1)."""
+        arr = np.asarray(u, dtype=float)
+        if not np.all((arr > 0.0) & (arr < 1.0)):
+            raise DomainError("quantile requires u strictly inside (0, 1)")
+        return _ret(self._quantile(arr), u)
+
+    def _pdf(self, x):
+        with np.errstate(over="ignore"):
+            return np.exp(self._log_pdf(x))
+
+    def _cdf(self, x):
+        return -np.expm1(self._log_sf(x))
+
+    def _log_cdf(self, x):
+        return log1mexp(self._log_sf(x))
+
+
+class BaseDistribution(_Law, ABC):
     """A base law F(x | theta) with closed-form quantile.
 
     Subclasses are frozen dataclasses whose fields are the parameters, in
-    ``param_names`` order. They implement the vectorized kernels
-    ``_pdf``, ``_log_pdf``, ``_cdf``, ``_log_cdf``, ``_log_sf`` and
-    ``_quantile``; the public methods handle scalar round-tripping and
-    argument validation. The three log kernels also accept parameter
-    columns (see the module docstring and :meth:`_at_columns`).
+    ``param_names`` order. They implement ``support`` and the kernels
+    ``_log_pdf``, ``_log_sf`` and ``_quantile`` (see the module
+    docstring); the log kernels also accept parameter columns (see
+    :meth:`_at_columns`).
     """
 
     family_id: ClassVar[str]
@@ -154,51 +221,10 @@ class BaseDistribution(ABC):
     @abstractmethod
     def support(self) -> Support: ...
 
-    # -- evaluation ---------------------------------------------------------
-
-    def pdf(self, x):
-        """Density f(x | theta); zero outside the support."""
-        arr = np.asarray(x, dtype=float)
-        return _ret(self._pdf(arr), x)
-
-    def log_pdf(self, x):
-        """ln f(x | theta); -inf where the density vanishes."""
-        arr = np.asarray(x, dtype=float)
-        return _ret(self._log_pdf(arr), x)
-
-    def cdf(self, x):
-        """F(x | theta), clamped to [0, 1] on the whole real line."""
-        arr = np.asarray(x, dtype=float)
-        return _ret(self._cdf(arr), x)
-
-    def log_cdf(self, x):
-        """ln F(x | theta), computed without forming F directly."""
-        arr = np.asarray(x, dtype=float)
-        return _ret(self._log_cdf(arr), x)
-
-    def log_sf(self, x):
-        """ln(1 - F(x | theta)), the log survival function."""
-        arr = np.asarray(x, dtype=float)
-        return _ret(self._log_sf(arr), x)
-
-    def quantile(self, u):
-        """Q(u) = F^{-1}(u) for u strictly inside (0, 1)."""
-        arr = np.asarray(u, dtype=float)
-        if not np.all((arr > 0.0) & (arr < 1.0)):
-            raise DomainError("quantile requires u strictly inside (0, 1)")
-        return _ret(self._quantile(arr), u)
-
-    @abstractmethod
-    def _pdf(self, x): ...
+    # -- the kernel contract ------------------------------------------------
 
     @abstractmethod
     def _log_pdf(self, x): ...
-
-    @abstractmethod
-    def _cdf(self, x): ...
-
-    @abstractmethod
-    def _log_cdf(self, x): ...
 
     @abstractmethod
     def _log_sf(self, x): ...
@@ -210,16 +236,8 @@ class BaseDistribution(ABC):
         # inverse survival kernel on (0, 1]; this default loses the upper
         # tail once s drops below one ulp of 1, families override where
         # the tail has more resolution than 1 - s can carry
-        u = np.minimum(1.0 - np.asarray(s, dtype=float), _ONE_BELOW)
+        u = np.minimum(1.0 - np.asarray(s, dtype=float), _OPEN_HI)
         return self._quantile(u)
-
-
-_ONE_BELOW = float(np.nextafter(1.0, 0.0))
-
-
-def _require_positive(family: str, name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{family}: {name} must be finite and > 0, got {value!r}")
 
 
 # -- bundled families -------------------------------------------------------
@@ -248,12 +266,10 @@ class Uniform(BaseDistribution):
     def support(self) -> Support:
         return Support(0.0, 1.0)
 
-    def _pdf(self, x):
-        return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
-
     def _log_pdf(self, x):
         return np.where((x >= 0.0) & (x <= 1.0), 0.0, -np.inf)
 
+    # F(x) = x is exact; the derived forms would round it
     def _cdf(self, x):
         return np.clip(x, 0.0, 1.0)
 
@@ -283,31 +299,23 @@ class Exponential(BaseDistribution):
     param_names: ClassVar[tuple[str, ...]] = ("rate",)
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
-        _require_positive(self.family_id, "rate", self.rate)
+        rate = _finite_positive(f"{self.family_id}: rate", self.rate)
+        object.__setattr__(self, "rate", rate)
 
     @property
     def support(self) -> Support:
         return Support(0.0, math.inf)
 
-    def _z(self, x):
-        # -rate*x clamped so x < 0 maps to the lower endpoint
-        return -self.rate * np.maximum(x, 0.0)
-
+    # the direct product is more accurate than exp(_log_pdf)
     def _pdf(self, x):
         return np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
 
     def _log_pdf(self, x):
         return np.where(x >= 0.0, _plog(self.rate) - self.rate * x, -np.inf)
 
-    def _cdf(self, x):
-        return -np.expm1(self._z(x))
-
-    def _log_cdf(self, x):
-        return log1mexp(self._z(x))
-
     def _log_sf(self, x):
-        return self._z(x)
+        # x < 0 maps to the lower endpoint
+        return -self.rate * np.maximum(x, 0.0)
 
     def _quantile(self, u):
         return -np.log1p(-u) / self.rate
@@ -328,10 +336,10 @@ class Weibull(BaseDistribution):
     param_names: ClassVar[tuple[str, ...]] = ("shape", "scale")
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", float(self.shape))
-        object.__setattr__(self, "scale", float(self.scale))
-        _require_positive(self.family_id, "shape", self.shape)
-        _require_positive(self.family_id, "scale", self.scale)
+        shape = _finite_positive(f"{self.family_id}: shape", self.shape)
+        scale = _finite_positive(f"{self.family_id}: scale", self.scale)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def support(self) -> Support:
@@ -340,11 +348,6 @@ class Weibull(BaseDistribution):
     def _z(self, x):
         # (x/scale)**shape on x >= 0, 0 below
         return _ppow(np.maximum(x, 0.0) / self.scale, self.shape)
-
-    def _pdf(self, x):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.exp(self._log_pdf(x))
-        return out
 
     def _log_pdf(self, x):
         k, s = self.shape, self.scale
@@ -357,12 +360,6 @@ class Weibull(BaseDistribution):
                 ones = np.flatnonzero(k[:, 0] == 1.0)
                 body[ones] = -_plog(s[ones]) - x[ones] / s[ones]
         return np.where(x >= 0.0, body, -np.inf)
-
-    def _cdf(self, x):
-        return -np.expm1(-self._z(x))
-
-    def _log_cdf(self, x):
-        return log1mexp(-self._z(x))
 
     def _log_sf(self, x):
         return -self._z(x)

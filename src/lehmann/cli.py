@@ -25,7 +25,7 @@ import numpy as np
 from .base_dist import BaseDistribution
 from .descriptors import parse_distribution
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
-from .estimate import fit_full
+from .estimate import _default_box, fit_full
 from .extend import ExtendedDistribution, Kind, extend
 from .extend import sample as draw_sample
 from .extend import sample_from_csv, sample_to_csv
@@ -129,7 +129,7 @@ def cmd_fit(input, dist, out) -> None:
         kind, base = d.kind, d.base
     else:
         kind, base = Kind.FIRST, d
-    bounds = tuple((t / 20.0, t * 20.0) for t in base.theta) or None
+    bounds = _default_box(base.theta) or None
     result = fit_full(kind, type(base), s, theta_bounds=bounds)
     _emit(result.to_json() + "\n", out)
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_dist import FAMILIES, BaseDistribution, _plog
+from .base_dist import FAMILIES, BaseDistribution, _finite_positive, _plog
 from .errors import DegenerateSampleError, DomainError, SupportError
-from .extend import Kind, _coerce_kind, sample_values
+from .extend import Kind, _coerce_kind, _kernel_log, sample_values
 
 _GOLDEN_TOL = 1e-8
 _GOLDEN_MAX_ITER = 200
@@ -124,8 +124,7 @@ def _validated_point(kind, base_family, theta, s):
 
 def _kernel_sums(kind: Kind, base, X):
     """Row sums of ln F (first kind) or ln(1 - F) (second kind)."""
-    w = base._log_cdf(X) if kind is Kind.FIRST else base._log_sf(X)
-    return np.sum(w, axis=1)
+    return np.sum(_kernel_log(kind, base, X), axis=1)
 
 
 def _saturated(w_sum):
@@ -170,9 +169,7 @@ def loglik(kind, base_family, theta, lam, s) -> float:
     Observations where the base density vanishes give -inf.
     """
     kind, base, x = _validated_point(kind, base_family, theta, s)
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lambda must be finite and > 0, got {lam!r}")
+    lam = _finite_positive("lambda", lam)
     return float(_evaluate(kind, base, x, lam)[0][0])
 
 
@@ -289,8 +286,13 @@ def _coordinate_max(h, start, bounds):
     return theta, value
 
 
+def _default_box(theta) -> tuple[tuple[float, float], ...]:
+    """The default search box: a factor of 20 either side of theta."""
+    return tuple((t / 20.0, t * 20.0) for t in theta)
+
+
 def _checked_box(family, bounds):
-    """Validate a bounds box for the family's parameters, once per fit.
+    """Validate a bounds box for the family's parameters, once per fit or study.
 
     The search only visits interior points, so the open box must lie in
     the parameter domain: its corners are checked one step inside.
@@ -414,6 +416,23 @@ def _fit_one(kind: Kind, family, x, theta_bounds, lam, extra_candidates):
     return theta_hat, trace, _boundary_warnings(theta_hat, bounds)
 
 
+def _fit(kind, base_family, s, lam, theta_bounds, extra_candidates) -> FitResult:
+    """The fit behind fit_full (lam None: profiled out) and fit_restricted."""
+    kind = _coerce_kind(kind)
+    family = _resolve_family(base_family)
+    x = sample_values(s)
+    _degenerate_guard(family, x)
+    theta_hat, trace, warnings = (), None, ()
+    if family.param_names:
+        theta_hat, trace, warnings = _fit_one(
+            kind, family, x, theta_bounds, lam, extra_candidates
+        )
+    if lam is None:
+        lam = mle_lambda(kind, family, theta_hat, x)
+    ll = loglik(kind, family, theta_hat, lam, x)
+    return FitResult(lam, theta_hat, ll, x.size, profile_trace=trace, warnings=warnings)
+
+
 def fit_full(kind, base_family, s, theta_bounds=None, extra_candidates=()) -> FitResult:
     """Maximize ll(lambda, theta) jointly, lambda by its closed form.
 
@@ -425,43 +444,12 @@ def fit_full(kind, base_family, s, theta_bounds=None, extra_candidates=()) -> Fi
     ``warnings``. The reported values are :func:`mle_lambda` and
     :func:`loglik` at the solution.
     """
-    kind = _coerce_kind(kind)
-    family = _resolve_family(base_family)
-    x = sample_values(s)
-    _degenerate_guard(family, x)
-
-    if not family.param_names:
-        lam = mle_lambda(kind, family, (), x)
-        ll = loglik(kind, family, (), lam, x)
-        return FitResult(lam, (), ll, x.size)
-
-    theta_hat, trace, warnings = _fit_one(
-        kind, family, x, theta_bounds, None, extra_candidates
-    )
-    lam_hat = mle_lambda(kind, family, theta_hat, x)
-    ll = loglik(kind, family, theta_hat, lam_hat, x)
-    return FitResult(lam_hat, theta_hat, ll, x.size,
-                     profile_trace=trace, warnings=warnings)
+    return _fit(kind, base_family, s, None, theta_bounds, extra_candidates)
 
 
 def fit_restricted(
     kind, base_family, s, lambda_fixed, theta_bounds=None, extra_candidates=()
 ) -> FitResult:
     """Maximize ll(lambda_fixed, theta) over theta only."""
-    kind = _coerce_kind(kind)
-    family = _resolve_family(base_family)
-    lam = float(lambda_fixed)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lambda_fixed must be finite and > 0, got {lambda_fixed!r}")
-    x = sample_values(s)
-    _degenerate_guard(family, x)
-
-    if not family.param_names:
-        return FitResult(lam, (), loglik(kind, family, (), lam, x), x.size)
-
-    theta_hat, trace, warnings = _fit_one(
-        kind, family, x, theta_bounds, lam, extra_candidates
-    )
-    ll = loglik(kind, family, theta_hat, lam, x)
-    return FitResult(lam, theta_hat, ll, x.size,
-                     profile_trace=trace, warnings=warnings)
+    lam = _finite_positive("lambda_fixed", lambda_fixed)
+    return _fit(kind, base_family, s, lam, theta_bounds, extra_candidates)

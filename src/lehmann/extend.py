@@ -29,15 +29,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quadrature import integrate_unit
-from .base_dist import BaseDistribution, Support, log1mexp, _ret
+from .base_dist import (
+    _OPEN_HI,
+    _OPEN_LO,
+    BaseDistribution,
+    Support,
+    _finite_positive,
+    _Law,
+    log1mexp,
+)
 from .errors import DomainError, ParseError
 from .rng import GENERATOR_ID, open_uniform, substream
 
 logger = logging.getLogger("lehmann.extend")
 
-# open-interval clamp targets for arguments fed to base quantiles
-_OPEN_LO = float(np.nextafter(0.0, 1.0))
-_OPEN_HI = float(np.nextafter(1.0, 0.0))
 _LN_HALF = math.log(0.5)
 
 # exponents above this are accepted but almost certainly a typo
@@ -64,13 +69,19 @@ def _coerce_kind(kind) -> Kind:
     raise DomainError(f"kind must be Kind.FIRST, Kind.SECOND, 1 or 2, got {kind!r}")
 
 
+def _kernel_log(kind: Kind, base, x):
+    """ln F (first kind) or ln(1 - F) (second kind): the powered side."""
+    return base._log_cdf(x) if kind is Kind.FIRST else base._log_sf(x)
+
+
 @dataclass(frozen=True)
-class ExtendedDistribution:
+class ExtendedDistribution(_Law):
     """The law G(x) = F(x)**lam (first kind) or 1-(1-F(x))**lam (second).
 
     ``lam`` must be strictly positive; ``lam == 1`` reproduces the base
-    exactly. The support equals the base support for every ``lam``.
-    Instances are immutable and safe to share across threads.
+    exactly, since every kernel then is the base kernel. The support
+    equals the base support for every ``lam``. Instances are immutable
+    and safe to share across threads.
     """
 
     base: BaseDistribution
@@ -78,10 +89,8 @@ class ExtendedDistribution:
     kind: Kind = Kind.FIRST
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", _finite_positive("lambda", self.lam))
         object.__setattr__(self, "kind", _coerce_kind(self.kind))
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise DomainError(f"lambda must be finite and > 0, got {self.lam!r}")
         if self.lam > _LAMBDA_SANITY_CAP:
             logger.warning(
                 "lambda=%r exceeds %g; accepted, but this is likely a user error",
@@ -99,78 +108,67 @@ class ExtendedDistribution:
 
     def compose(self, lambda_prime: float) -> "ExtendedDistribution":
         """Apply a further exponent: same base and kind, lam*lambda_prime."""
-        lp = float(lambda_prime)
-        if not (math.isfinite(lp) and lp > 0.0):
-            raise DomainError(f"lambda_prime must be finite and > 0, got {lambda_prime!r}")
-        return replace(self, lam=self.lam * lp)
+        return replace(self, lam=self.lam * _finite_positive("lambda_prime", lambda_prime))
 
-    # -- evaluation ---------------------------------------------------------
+    # -- kernels --------------------------------------------------------------
+    #
+    # z = lam * ln F (first kind) or lam * ln(1 - F) (second kind) is the
+    # log of the powered side; the other side is log1mexp(z).
 
-    def _kernel_log(self, x):
-        """log F (first kind) or log(1-F) (second kind) of the base."""
-        if self.kind is Kind.FIRST:
-            return self.base._log_cdf(x)
-        return self.base._log_sf(x)
+    def _z(self, x):
+        return self.lam * _kernel_log(self.kind, self.base, x)
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
+    def _log_pdf(self, x):
+        lp = self.base._log_pdf(x)
         if self.lam == 1.0:
-            return _ret(self.base._cdf(arr), x)
-        z = self.lam * self._kernel_log(arr)
-        out = np.exp(z) if self.kind is Kind.FIRST else -np.expm1(z)
-        return _ret(out, x)
-
-    def log_cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        if self.lam == 1.0:
-            return _ret(self.base._log_cdf(arr), x)
-        z = self.lam * self._kernel_log(arr)
-        out = z if self.kind is Kind.FIRST else log1mexp(z)
-        return _ret(out, x)
-
-    def log_sf(self, x):
-        arr = np.asarray(x, dtype=float)
-        if self.lam == 1.0:
-            return _ret(self.base._log_sf(arr), x)
-        z = self.lam * self._kernel_log(arr)
-        out = log1mexp(z) if self.kind is Kind.FIRST else z
-        return _ret(out, x)
-
-    def log_pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        lp = self.base._log_pdf(arr)
-        if self.lam == 1.0:
-            return _ret(lp, x)
-        w = self._kernel_log(arr)
+            return lp
+        w = _kernel_log(self.kind, self.base, x)
         # w = -inf with lam < 1 gives +inf: the boundary divergence.
         # Outside the support lp = -inf must win over that +inf.
         with np.errstate(invalid="ignore"):
             out = math.log(self.lam) + lp + (self.lam - 1.0) * w
-        out = np.where(np.isneginf(lp), -np.inf, out)
-        return _ret(out, x)
+        return np.where(np.isneginf(lp), -np.inf, out)
 
-    def pdf(self, x):
-        with np.errstate(over="ignore"):
-            out = np.exp(self.log_pdf(np.asarray(x, dtype=float)))
-        return _ret(out, x)
-
-    def quantile(self, u):
-        arr = np.asarray(u, dtype=float)
-        if not np.all((arr > 0.0) & (arr < 1.0)):
-            raise DomainError("quantile requires u strictly inside (0, 1)")
+    def _log_sf(self, x):
         if self.lam == 1.0:
-            return _ret(self.base._quantile(arr), u)
+            return self.base._log_sf(x)
+        z = self._z(x)
+        return z if self.kind is Kind.SECOND else log1mexp(z)
+
+    def _log_cdf(self, x):
+        if self.lam == 1.0:
+            return self.base._log_cdf(x)
+        z = self._z(x)
+        return z if self.kind is Kind.FIRST else log1mexp(z)
+
+    def _cdf(self, x):
+        if self.lam == 1.0:
+            return self.base._cdf(x)
+        z = self._z(x)
+        return np.exp(z) if self.kind is Kind.FIRST else -np.expm1(z)
+
+    def _pdf(self, x):
+        if self.lam == 1.0:
+            return self.base._pdf(x)
+        return super()._pdf(x)
+
+    def _quantile(self, u):
+        if self.lam == 1.0:
+            return self.base._quantile(u)
         if self.kind is Kind.FIRST:
-            w = np.clip(np.exp(np.log(arr) / self.lam), _OPEN_LO, _OPEN_HI)
-            return _ret(self.base._quantile(w), u)
+            w = np.clip(np.exp(np.log(u) / self.lam), _OPEN_LO, _OPEN_HI)
+            return self.base._quantile(w)
         # for the second kind the target survival fraction s can sit far
         # below one ulp of 1, where 1 - s rounds away; small s inverts
         # through the survival side instead
-        log_s = np.log1p(-arr) / self.lam
+        log_s = np.log1p(-u) / self.lam
         s = np.maximum(np.exp(log_s), _OPEN_LO)
         w = np.clip(-np.expm1(log_s), _OPEN_LO, _OPEN_HI)
-        x = np.where(log_s < _LN_HALF, self.base._quantile_sf(s), self.base._quantile(w))
-        return _ret(x, u)
+        return np.where(log_s < _LN_HALF, self.base._quantile_sf(s), self.base._quantile(w))
+
+    # defined on this class too, not only inherited: perfbench/tracer.py
+    # wraps methods in the __dict__ of the class that defines them
+    quantile = _Law.quantile
 
     def moment(self, k: int) -> float:
         """k-th raw moment, E[X**k], by quadrature on the unit interval.
@@ -186,31 +184,33 @@ class ExtendedDistribution:
         if k != int(k) or int(k) < 1:
             raise DomainError(f"moment order k must be a positive integer, got {k!r}")
         k = int(k)
-        inv = 1.0 / self.lam
-        first = self.kind is Kind.FIRST
-
-        def integrand(t: float) -> float:
-            # extreme refinement can round a node onto an endpoint
-            t = min(max(t, _OPEN_LO), _OPEN_HI)
-            x = _invert_power_fraction(self.base, first, math.log(t) * inv)
-            return float(x) ** k
-
-        value, _err = integrate_unit(integrand)
+        x_at = _node_map(self)
+        value, _err = integrate_unit(lambda t: float(x_at(t)) ** k)
         return value
 
 
-def _invert_power_fraction(base: BaseDistribution, first: bool, log_w: float):
-    """Point x with ln F(x) = log_w (first kind) or ln(1-F(x)) = log_w.
+def _node_map(dist: ExtendedDistribution):
+    """The quadrature change of variables t -> x for integrals against dist.
 
-    Scalar helper for quadrature integrands. Routes through whichever of
-    the CDF and survival inverses receives the small fraction, so x stays
-    sharp near both support ends.
+    Returns the scalar map taking t in (0, 1) to the point x with
+    t = F(x)**lam (first kind) or t = (1-F(x))**lam (second kind). It
+    routes through whichever of the base's CDF and survival inverses
+    receives the small fraction, so x stays sharp near both support
+    ends. The lookups happen once here, not at every node.
     """
-    if log_w < _LN_HALF:
-        frac = max(math.exp(log_w), _OPEN_LO)
-        return base._quantile(frac) if first else base._quantile_sf(frac)
-    comp = min(max(-math.expm1(log_w), _OPEN_LO), _OPEN_HI)
-    return base._quantile_sf(comp) if first else base._quantile(comp)
+    inv = 1.0 / dist.lam
+    first = dist.kind is Kind.FIRST
+    q_small = dist.base._quantile if first else dist.base._quantile_sf
+    q_large = dist.base._quantile_sf if first else dist.base._quantile
+
+    def x_at(t: float):
+        # extreme refinement can round a node onto an endpoint
+        log_w = math.log(min(max(t, _OPEN_LO), _OPEN_HI)) * inv
+        if log_w < _LN_HALF:
+            return q_small(max(math.exp(log_w), _OPEN_LO))
+        return q_large(min(max(-math.expm1(log_w), _OPEN_LO), _OPEN_HI))
+
+    return x_at
 
 
 def extend(base: BaseDistribution, lam: float, kind=Kind.FIRST) -> ExtendedDistribution:

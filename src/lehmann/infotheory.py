@@ -25,19 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quadrature import integrate_unit
-from .base_dist import BaseDistribution
+from .base_dist import _OPEN_HI, _OPEN_LO, BaseDistribution, _finite_positive
 from .errors import DomainError
 from .estimate import loglik
-from .extend import (
-    _OPEN_HI,
-    _OPEN_LO,
-    ExtendedDistribution,
-    Kind,
-    _invert_power_fraction,
-    extend,
-    sample,
-    sample_values,
-)
+from .extend import ExtendedDistribution, _node_map, extend, sample, sample_values
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_QUADRATURE = "quadrature"
@@ -83,9 +74,7 @@ def _as_extended(d) -> ExtendedDistribution:
 
 def power_loss_closed(lam: float) -> float:
     """ln(lam) + (1 - lam)/lam; zero exactly at lam = 1."""
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lambda must be finite and > 0, got {lam!r}")
+    lam = _finite_positive("lambda", lam)
     return math.log(lam) + (1.0 - lam) / lam
 
 
@@ -98,9 +87,7 @@ def power_loss_integrand_check(lam: float) -> float:
     :func:`power_loss_closed`. For lam < 1 the substitution t = u**lam
     removes the endpoint singularity first.
     """
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lambda must be finite and > 0, got {lam!r}")
+    lam = _finite_positive("lambda", lam)
     if lam >= 1.0:
 
         def integrand(u: float) -> float:
@@ -131,12 +118,10 @@ def kl_numeric(p, q) -> KlResult:
             f"support mismatch: {p.describe()} has {p.support}, "
             f"{q.describe()} has {q.support}"
         )
-    inv = 1.0 / p.lam
-    first = p.kind is Kind.FIRST
+    x_at = _node_map(p)
 
     def integrand(t: float) -> float:
-        t = min(max(t, _OPEN_LO), _OPEN_HI)  # nodes can round onto endpoints
-        x = _invert_power_fraction(p.base, first, math.log(t) * inv)
+        x = x_at(t)
         return p.log_pdf(x) - q.log_pdf(x)
 
     value, err = integrate_unit(integrand)

@@ -49,13 +49,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtri
 
-from .base_dist import FAMILIES, BaseDistribution
+from .base_dist import FAMILIES, BaseDistribution, _finite_positive
 from .descriptors import parse_base
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
 from .estimate import (
     _all_equal_rows,
     _check_support,
     _checked_box,
+    _default_box,
     _degenerate_guard,
     _evaluate,
     _fit_block,
@@ -76,7 +77,11 @@ _BLOCK_VALUES = 1 << 14
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Declarative description of one power study."""
+    """Declarative description of one power study.
+
+    Every field is validated at construction, the bounds box included,
+    so a bad config fails before any replication is drawn.
+    """
 
     kind: Kind
     base_family: str
@@ -92,18 +97,20 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "kind", _coerce_kind(self.kind))
         object.__setattr__(self, "theta0", tuple(float(t) for t in self.theta0))
-        object.__setattr__(
-            self, "lambda_grid", tuple(float(v) for v in self.lambda_grid)
-        )
+        object.__setattr__(self, "lambda_grid", tuple(
+            _finite_positive("every lambda_grid value", v) for v in self.lambda_grid
+        ))
         if self.theta_bounds is not None:
             object.__setattr__(
                 self,
                 "theta_bounds",
                 tuple((float(lo), float(hi)) for lo, hi in self.theta_bounds),
             )
-        self.base  # construct once: validates family id and theta0
-        if not self.lambda_grid or any(v <= 0.0 for v in self.lambda_grid):
-            raise DomainError("lambda_grid must be nonempty with every value > 0")
+        # validates the family id and theta0, then the box the fits search
+        # (a parameter-free family takes no box)
+        _checked_box(type(self.base), self.effective_theta_bounds())
+        if not self.lambda_grid:
+            raise DomainError("lambda_grid must be nonempty")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.n < 1:
@@ -126,7 +133,7 @@ class SimConfig:
         """Explicit bounds if given, else a wide box around theta0."""
         if self.theta_bounds is not None:
             return self.theta_bounds
-        return tuple((t / 20.0, t * 20.0) for t in self.theta0)
+        return _default_box(self.theta0)
 
 
 _CONFIG_KEYS = (
@@ -272,7 +279,7 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray):
     keep = ~failed
     X, ll0 = X[keep], ll0[keep]
     if cfg.theta0:
-        bounds, _ = _checked_box(family, cfg.effective_theta_bounds())
+        bounds = cfg.effective_theta_bounds()
         theta0 = np.tile(np.asarray(cfg.theta0, dtype=float), (len(X), 1))
         theta_r, restr, _ = _fit_block(cfg.kind, family, X, bounds, 1.0, (theta0,))
         back = restr < ll0

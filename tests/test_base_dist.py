@@ -1,12 +1,27 @@
 """Base family behavior: densities, CDFs, quantiles, validation."""
 
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
-from lehmann import DomainError, Exponential, Support, Uniform, Weibull
-from lehmann.base_dist import log1mexp
+from lehmann import (
+    DomainError,
+    Exponential,
+    Kind,
+    Support,
+    Uniform,
+    Weibull,
+    extend,
+    fit_full,
+    kl_numeric,
+    parse_distribution,
+    register_family,
+    sample,
+)
+from lehmann.base_dist import FAMILIES, BaseDistribution, _plog, log1mexp
 
 FAMILY_CASES = [
     (Uniform, ()),
@@ -125,8 +140,7 @@ def test_describe_format():
 
 
 def test_support_membership():
-    s = Support(0.0, 1.0, lower_open=True)
-    assert not s.contains(0.0)
+    s = Support(0.0, 1.0)
     assert s.contains(1.0)
     assert list(s.contains(np.array([-0.1, 0.5, 1.1]))) == [False, True, False]
     assert Exponential(1.0).support.contains(0.0)
@@ -169,3 +183,67 @@ def test_column_kernels_match_scalar_instances(family, theta):
     for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
         rows = [getattr(family(*t), kernel)(xi) for t, xi in zip(theta, x)]
         assert np.array_equal(getattr(columns, kernel)(x), np.stack(rows)), kernel
+
+
+@dataclass(frozen=True)
+class _Rayleigh(BaseDistribution):
+    """F(x) = 1 - exp(-x**2 / (2 sigma**2)) on [0, inf). Test-only: it
+    implements the family contract and nothing more."""
+
+    sigma: float = 1.0
+
+    family_id: ClassVar[str] = "rayleigh"
+    param_names: ClassVar[tuple[str, ...]] = ("sigma",)
+
+    @property
+    def support(self):
+        return Support(0.0, math.inf)
+
+    def _log_pdf(self, x):
+        s = self.sigma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            body = np.log(x) - 2.0 * _plog(s) - x * x / (2.0 * s * s)
+        return np.where(x >= 0.0, body, -np.inf)
+
+    def _log_sf(self, x):
+        x = np.maximum(x, 0.0)
+        return -x * x / (2.0 * self.sigma * self.sigma)
+
+    def _quantile(self, u):
+        return self.sigma * np.sqrt(-2.0 * np.log1p(-u))
+
+
+@pytest.fixture()
+def rayleigh():
+    register_family(_Rayleigh)
+    yield _Rayleigh
+    del FAMILIES[_Rayleigh.family_id]
+
+
+def test_family_implementing_only_the_contract(rayleigh):
+    assert BaseDistribution.__abstractmethods__ == {
+        "support", "_log_pdf", "_log_sf", "_quantile"}
+    d = rayleigh(1.5)
+    x = np.array([-1.0, 0.0, 0.5, 1.5, 4.0])
+    cdf = np.where(x > 0.0, -np.expm1(-x * x / 4.5), 0.0)
+    assert np.allclose(d.cdf(x), cdf, rtol=1e-15, atol=0.0)
+    assert np.allclose(d.pdf(x), np.maximum(x, 0.0) / 2.25 * np.exp(-x * x / 4.5),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(d.log_cdf(x[2:]), np.log(cdf[2:]), rtol=1e-14, atol=0.0)
+    u = np.linspace(0.01, 0.99, 50)
+    assert np.allclose(d.cdf(d.quantile(u)), u, rtol=1e-13, atol=0.0)
+
+    # the minimum of two Rayleigh(sigma) draws is Rayleigh(sigma / sqrt 2)
+    g2 = extend(d, 2.0, Kind.SECOND)
+    assert np.allclose(g2.cdf(x), rayleigh(1.5 / math.sqrt(2.0)).cdf(x), rtol=1e-14)
+    g1 = parse_distribution("lehmann1(base=rayleigh(sigma=1.5),lambda=2.0)")
+    assert np.allclose(g1.cdf(x), cdf ** 2, rtol=1e-14, atol=0.0)
+    for g in (g1, g2):
+        assert np.allclose(g.cdf(g.quantile(u)), u, rtol=1e-12, atol=0.0)
+
+    s = sample(g1, 2000, 3)
+    assert d.support.contains(s.values).all()
+    fit = fit_full(Kind.FIRST, "rayleigh", s, theta_bounds=((0.1, 10.0),))
+    assert abs(fit.lambda_hat - 2.0) < 0.3
+    assert abs(fit.theta_hat[0] - 1.5) < 0.1
+    assert kl_numeric(g1, d).value == pytest.approx(math.log(2.0) - 0.5, abs=1e-9)

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from lehmann import (
     DomainError,
@@ -21,6 +22,7 @@ from lehmann import (
     power_loss_closed,
     run_power_study,
 )
+from lehmann.cli import main
 from lehmann.lrt_sim import _null_replication, canonical_config_text
 
 CONFIG_TEXT = """\
@@ -155,6 +157,24 @@ def test_too_few_calibration_replications_fail_at_parse_time():
                                "calibration_replications = 999")
     with pytest.raises(ParseError, match="calibration_replications must be >= 1000"):
         parse_sim_config(text)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("lambda_grid = 1.0, 2.0", "lambda_grid = 1.0, nan"),
+    ("lambda_grid = 1.0, 2.0", "lambda_grid = 1.0, inf"),
+    ("theta_bounds = 0.1:10", "theta_bounds = 10:0.1"),  # reversed
+    ("theta_bounds = 0.1:10", "theta_bounds = 0.1:10,0.1:10"),  # wrong dimension
+    ("theta_bounds = 0.1:10", "theta_bounds = -1:10"),  # outside the domain
+    ("base = exponential(rate=1.0)", "base = uniform()"),  # nothing to bound
+], ids=["grid-nan", "grid-inf", "box-reversed", "box-dimension", "box-domain",
+        "box-on-uniform"])
+def test_bad_config_fails_at_parse_time_with_exit_2(old, new, tmp_path):
+    text = CONFIG_TEXT.replace(old, new)
+    with pytest.raises(ParseError, match="invalid config"):
+        parse_sim_config(text)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(text)
+    assert CliRunner().invoke(main, ["simulate", "--config", str(cfg)]).exit_code == 2
 
 
 def test_import_leaves_scipy_stats_unloaded():
