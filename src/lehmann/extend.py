@@ -185,30 +185,32 @@ class ExtendedDistribution(_Law):
             raise DomainError(f"moment order k must be a positive integer, got {k!r}")
         k = int(k)
         x_at = _node_map(self)
-        value, _err = integrate_unit(lambda t: float(x_at(t)) ** k)
+        value, _err = integrate_unit(lambda t: x_at(t) ** k)
         return value
 
 
 def _node_map(dist: ExtendedDistribution):
     """The quadrature change of variables t -> x for integrals against dist.
 
-    Returns the scalar map taking t in (0, 1) to the point x with
-    t = F(x)**lam (first kind) or t = (1-F(x))**lam (second kind). It
-    routes through whichever of the base's CDF and survival inverses
-    receives the small fraction, so x stays sharp near both support
-    ends. The lookups happen once here, not at every node.
+    Returns the array map taking nodes t in (0, 1) to the points x with
+    t = F(x)**lam (first kind) or t = (1-F(x))**lam (second kind). Each
+    node takes whichever of the base's CDF and survival inverses receives
+    the small fraction, so x stays sharp near both support ends. The
+    lookups happen once here, not at every call.
     """
     inv = 1.0 / dist.lam
     first = dist.kind is Kind.FIRST
     q_small = dist.base._quantile if first else dist.base._quantile_sf
     q_large = dist.base._quantile_sf if first else dist.base._quantile
 
-    def x_at(t: float):
+    def x_at(t: np.ndarray) -> np.ndarray:
         # extreme refinement can round a node onto an endpoint
-        log_w = math.log(min(max(t, _OPEN_LO), _OPEN_HI)) * inv
-        if log_w < _LN_HALF:
-            return q_small(max(math.exp(log_w), _OPEN_LO))
-        return q_large(min(max(-math.expm1(log_w), _OPEN_LO), _OPEN_HI))
+        log_w = np.log(np.minimum(np.maximum(t, _OPEN_LO), _OPEN_HI)) * inv
+        # both inverses see every node (clamped into (0, 1), so neither
+        # overflows); each node keeps the one its fraction belongs to
+        w_small = np.minimum(np.maximum(np.exp(log_w), _OPEN_LO), _OPEN_HI)
+        w_large = np.minimum(np.maximum(-np.expm1(log_w), _OPEN_LO), _OPEN_HI)
+        return np.where(log_w < _LN_HALF, q_small(w_small), q_large(w_large))
 
     return x_at
 

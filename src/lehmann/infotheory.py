@@ -90,14 +90,14 @@ def power_loss_integrand_check(lam: float) -> float:
     lam = _finite_positive("lambda", lam)
     if lam >= 1.0:
 
-        def integrand(u: float) -> float:
-            u = min(max(u, _OPEN_LO), _OPEN_HI)
-            return u ** (lam - 1.0) * math.log(u)
+        def integrand(u: np.ndarray) -> np.ndarray:
+            u = np.clip(u, _OPEN_LO, _OPEN_HI)
+            return u ** (lam - 1.0) * np.log(u)
 
         value, _err = integrate_unit(integrand)
         return math.log(lam) + lam * (lam - 1.0) * value
     # t = u**lam turns the integral into (1/lam**2) * integral of ln(t)
-    value, _err = integrate_unit(lambda t: math.log(min(max(t, _OPEN_LO), _OPEN_HI)))
+    value, _err = integrate_unit(lambda t: np.log(np.clip(t, _OPEN_LO, _OPEN_HI)))
     return math.log(lam) + ((lam - 1.0) / lam) * value
 
 
@@ -120,9 +120,12 @@ def kl_numeric(p, q) -> KlResult:
         )
     x_at = _node_map(p)
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         x = x_at(t)
-        return p.log_pdf(x) - q.log_pdf(x)
+        # a node rounded onto a support end can make a log density
+        # infinite; the quadrature's non-finite check reports that
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return p._log_pdf(x) - q._log_pdf(x)
 
     value, err = integrate_unit(integrand)
     return KlResult(

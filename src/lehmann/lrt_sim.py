@@ -43,11 +43,11 @@ import hashlib
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import chdtri
 
 from .base_dist import FAMILIES, BaseDistribution, _finite_positive
 from .descriptors import parse_base
@@ -73,6 +73,18 @@ _CAL_CELL = 0  # stream cell index reserved for calibration draws
 _MIN_CALIBRATION = 1000  # replications behind a stable (1 - alpha) quantile
 # sample values drawn and fitted per block; caps the engine's working set
 _BLOCK_VALUES = 1 << 14
+
+# glibc's malloc hands free memory at the top of its heap back to the
+# system once more than a trim threshold (128 KiB at start) sits there,
+# and raises that threshold, to twice the block, only when it frees a
+# block it had mmap'd. Fitting a block allocates and frees several
+# (rows, n) temporaries per objective evaluation, so below a raised
+# threshold every evaluation faults its pages in again: 33,600 minor
+# page faults per criterion-8-shaped study instead of under 1,000, and
+# ~20% of its time. Freeing one untouched block of this many float64
+# values (4 MiB) raises the threshold for the process; other allocators
+# just map and unmap it.
+_TRIM_THRESHOLD_PROBE = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,12 @@ class SimConfig:
         # validates the family id and theta0, then the box the fits search
         # (a parameter-free family takes no box)
         _checked_box(type(self.base), self.effective_theta_bounds())
+        for name in ("n", "replications", "seed", "calibration_replications"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if not self.lambda_grid:
             raise DomainError("lambda_grid must be nonempty")
         if not 0.0 < self.alpha < 1.0:
@@ -358,6 +376,7 @@ def _cell_statistics(cfg: SimConfig, dist, cell: int, replications: int):
     Returns ``(full, misspec, failures)``.
     """
     rows = max(1, _BLOCK_VALUES // cfg.n)
+    np.empty(_TRIM_THRESHOLD_PROBE)
     fulls, missps, failures = [], [], 0
     for first in range(0, replications, rows):
         X = _draw_block(cfg, dist, cell, range(first, min(first + rows, replications)))
@@ -391,13 +410,17 @@ def calibrate(cfg: SimConfig) -> tuple[float, float]:
     crit_full = float(np.quantile(fulls, q, method="higher"))
     crit_misspec = float(np.quantile(missps, q, method="higher"))
 
-    df_full = 1 + len(cfg.theta0)
-    wilks = float(chdtri(df_full, 1.0 - q))
-    logger.info(
-        "calibrated crit_full=%.4f (Wilks chi2 df=%d would give %.4f; "
-        "diagnostic only), crit_misspec=%.4f, mean null full stat=%.3f",
-        crit_full, df_full, wilks, crit_misspec, float(np.mean(fulls)),
-    )
+    if logger.isEnabledFor(logging.INFO):
+        # imported here: scipy.special is a slow import the results never need
+        from scipy.special import chdtri
+
+        df_full = 1 + len(cfg.theta0)
+        wilks = float(chdtri(df_full, 1.0 - q))
+        logger.info(
+            "calibrated crit_full=%.4f (Wilks chi2 df=%d would give %.4f; "
+            "diagnostic only), crit_misspec=%.4f, mean null full stat=%.3f",
+            crit_full, df_full, wilks, crit_misspec, float(np.mean(fulls)),
+        )
     return crit_full, crit_misspec
 
 

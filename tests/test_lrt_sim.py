@@ -74,6 +74,22 @@ def test_config_validation():
         uniform_cfg(base_family="exponential", theta0=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 50.5), ("replications", 200.0), ("seed", 7.5), ("calibration_replications", 1000.5)])
+def test_config_rejects_non_integers(field, value):
+    # a float count used to construct and then fail inside the first block;
+    # a float seed was truncated by the generator but hashed as given
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        uniform_cfg(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = uniform_cfg(n=np.int64(100), replications=np.int32(200), seed=np.int64(7),
+                      calibration_replications=np.uint16(1000))
+    assert (cfg.n, cfg.replications, cfg.seed, cfg.calibration_replications) == (100, 200, 7, 1000)
+    assert config_hash(cfg) == config_hash(uniform_cfg())
+
+
 def test_parse_config_golden():
     cfg = parse_sim_config(CONFIG_TEXT)
     assert cfg.kind is Kind.FIRST
@@ -175,6 +191,21 @@ def test_bad_config_fails_at_parse_time_with_exit_2(old, new, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(text)
     assert CliRunner().invoke(main, ["simulate", "--config", str(cfg)]).exit_code == 2
+
+
+def test_import_loads_no_scipy_integrate_or_special():
+    code = ("import sys, lehmann, lehmann.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_calibrate_logs_the_wilks_diagnostic_at_info(caplog):
+    with caplog.at_level("INFO", logger="lehmann.lrt_sim"):
+        calibrate(uniform_cfg())
+    assert "Wilks chi2 df=1 would give 3.8415" in caplog.text
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,7 +1,5 @@
 """Generator streams and the shared quadrature kernel."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -49,7 +47,7 @@ def test_integrate_unit_smooth():
 
 
 def test_integrate_unit_endpoint_singularity():
-    value, _ = integrate_unit(math.log)
+    value, _ = integrate_unit(np.log)
     assert value == pytest.approx(-1.0, abs=1e-10)
     value, _ = integrate_unit(lambda t: t ** -0.8)
     assert value == pytest.approx(5.0, abs=1e-8)
@@ -58,7 +56,8 @@ def test_integrate_unit_endpoint_singularity():
 def test_integrate_unit_divergence_raises_with_estimate():
     def diverging(t):
         gap = 1.0 - t
-        return 1.0 / gap if gap > 0.0 else 1e300
+        with np.errstate(divide="ignore"):
+            return np.where(gap > 0.0, 1.0 / gap, 1e300)
 
     with pytest.raises(NumericalError) as info:
         integrate_unit(diverging)
