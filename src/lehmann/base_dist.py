@@ -21,12 +21,21 @@ outside the support); quantiles are defined on the open interval (0, 1)
 only. Parameters are validated at construction, never at evaluation, and
 instances are immutable.
 
-The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf``) are the kernels
-the likelihood engine uses. They must also work on the unvalidated
-instance :meth:`BaseDistribution._at_columns` builds, whose parameters
-are ``(R, 1)`` columns broadcasting against an ``(R, n)`` sample block,
-and give each row the bits a scalar instance would: take logs and powers
-of parameters through :func:`_plog` and :func:`_ppow`.
+One fused kernel is optional: ``_log_pdf_and_kernel(x, first)`` returns
+ln f with ln F (``first``) or ln(1 - F), the pair the likelihood engine
+and the powered density need. The default calls the two kernels. A
+family overrides it when both share an intermediate worth computing once,
+as Weibull's ``z = (x/scale)**shape``; an override returns exactly the
+bits of the separate kernels, and its caller silences floating-point
+warnings.
+
+The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the fused
+kernel) are the kernels the likelihood engine uses. They must also work
+on the unvalidated instance :meth:`BaseDistribution._at_columns` builds,
+whose parameters are ``(R, 1)`` columns broadcasting against an
+``(R, n)`` sample block or one ``(1, n)`` sample, return one row per
+parameter row, and give each row the bits a scalar instance would: take
+logs and powers of parameters through :func:`_plog` and :func:`_ppow`.
 """
 
 from __future__ import annotations
@@ -47,9 +56,12 @@ def log1mexp(z):
     """log(1 - exp(z)) for z <= 0, stable near both ends."""
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.log(-np.expm1(z))
-        far = np.log1p(-np.exp(z))
-    return np.where(z > -_LN2, near, far)
+        return _log1mexp(z)
+
+
+def _log1mexp(z):
+    # log1mexp for an array z, floating-point warnings silenced by the caller
+    return np.where(z > -_LN2, np.log(-np.expm1(z)), np.log1p(-np.exp(z)))
 
 
 def _plog(v):
@@ -73,13 +85,16 @@ def _ppow(y, k):
     numpy evaluates a scalar exponent of 2 or 1/2 as a square or square
     root, which need not match the general power in the last ulp; rows
     of a column holding those exponents take the same shortcut so each
-    row equals its scalar evaluation.
+    row equals its scalar evaluation. ``y`` has one row per row of k.
+    Each shortcut costs one mask test; rows are re-evaluated only when
+    some row holds its exponent.
     """
     out = y ** k
     if isinstance(k, np.ndarray):
         for special, fn in _SCALAR_POWER_SHORTCUTS:
-            rows = np.flatnonzero(k[:, 0] == special)
-            out[rows] = fn(y[rows])
+            rows = k[:, 0] == special
+            if rows.any():
+                out[rows] = fn(y[rows])
     return out
 
 
@@ -171,9 +186,9 @@ class BaseDistribution(_Law, ABC):
 
     Subclasses are frozen dataclasses whose fields are the parameters, in
     ``param_names`` order. They implement ``support`` and the kernels
-    ``_log_pdf``, ``_log_sf`` and ``_quantile`` (see the module
-    docstring); the log kernels also accept parameter columns (see
-    :meth:`_at_columns`).
+    ``_log_pdf``, ``_log_sf`` and ``_quantile``, and may override the
+    fused ``_log_pdf_and_kernel`` (see the module docstring); the log
+    kernels also accept parameter columns (see :meth:`_at_columns`).
     """
 
     family_id: ClassVar[str]
@@ -192,7 +207,8 @@ class BaseDistribution(_Law, ABC):
 
         ``theta`` has shape ``(R, len(param_names))``; each parameter
         becomes an ``(R, 1)`` column, so the log kernels evaluate R
-        parameter points against an ``(R, n)`` block in one call. The
+        parameter points against an ``(R, n)`` block, or R points against
+        one ``(1, n)`` sample, in one call. The
         caller validates the parameter box once; nothing else may be
         called on the result.
         """
@@ -231,6 +247,10 @@ class BaseDistribution(_Law, ABC):
 
     @abstractmethod
     def _quantile(self, u): ...
+
+    def _log_pdf_and_kernel(self, x, first):
+        # (ln f, ln F) if first else (ln f, ln(1 - F)); see the module docstring
+        return self._log_pdf(x), (self._log_cdf(x) if first else self._log_sf(x))
 
     def _quantile_sf(self, s):
         # inverse survival kernel on (0, 1]; this default loses the upper
@@ -349,20 +369,31 @@ class Weibull(BaseDistribution):
         # (x/scale)**shape on x >= 0, 0 below
         return _ppow(np.maximum(x, 0.0) / self.scale, self.shape)
 
-    def _log_pdf(self, x):
+    def _log_pdf_at(self, x, z):
+        # ln f given z = _z(x); floating-point warnings silenced by the caller
         k, s = self.shape, self.scale
         if not isinstance(k, np.ndarray) and k == 1.0:
             return np.where(x >= 0.0, -math.log(s) - x / s, -np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = _plog(k / s) + (k - 1.0) * np.log(x / s) - self._z(x)
-            if isinstance(k, np.ndarray):
-                # rows at shape 1 take the exponential form, as a scalar would
-                ones = np.flatnonzero(k[:, 0] == 1.0)
-                body[ones] = -_plog(s[ones]) - x[ones] / s[ones]
+        body = _plog(k / s) + (k - 1.0) * np.log(x / s) - z
+        if isinstance(k, np.ndarray):
+            # rows at shape 1 take the exponential form, as a scalar would
+            ones = k[:, 0] == 1.0
+            if ones.any():
+                x1 = np.broadcast_to(x, body.shape)[ones]
+                body[ones] = -_plog(s[ones]) - x1 / s[ones]
         return np.where(x >= 0.0, body, -np.inf)
+
+    def _log_pdf(self, x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._log_pdf_at(x, self._z(x))
 
     def _log_sf(self, x):
         return -self._z(x)
+
+    # ln f and the log kernel share z, so it is computed once
+    def _log_pdf_and_kernel(self, x, first):
+        z = self._z(x)
+        return self._log_pdf_at(x, z), (_log1mexp(-z) if first else -z)
 
     def _quantile(self, u):
         return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)

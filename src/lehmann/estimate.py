@@ -118,13 +118,8 @@ def _validated_point(kind, base_family, theta, s):
 #
 # ``base`` below is a validated instance, or a column instance from
 # BaseDistribution._at_columns with one parameter point per row of the
-# (R, n) block X; either way its log kernels return one row of terms per
-# row of X.
-
-
-def _kernel_sums(kind: Kind, base, X):
-    """Row sums of ln F (first kind) or ln(1 - F) (second kind)."""
-    return np.sum(_kernel_log(kind, base, X), axis=1)
+# (R, n) block X, or R points sharing a (1, n) X; either way its log
+# kernels return one row of terms per row of the result.
 
 
 def _saturated(w_sum):
@@ -137,24 +132,32 @@ def _evaluate(kind: Kind, base, X, lam):
     ``lam`` is the fixed exponent, or None to profile it out by its
     closed form -n / sum w. Returns ``(value, degenerate)``; degenerate
     rows have no exponent MLE at their parameters. A row at lam == 1
-    keeps the bare density sum, as the scalar formula does.
+    keeps the bare density sum, as the scalar formula does. ``X`` may be
+    a single (1, n) sample shared by every parameter row of ``base``.
     """
     n = X.shape[1]
-    lp = base._log_pdf(X)
-    total = np.sum(lp, axis=1)
-    degenerate = np.zeros(len(X), dtype=bool)
-    if lam is None or lam != 1.0:
-        w_sum = _kernel_sums(kind, base, X)
+    if lam is not None and lam == 1.0:
+        lp = base._log_pdf(X)
+        total = lp.sum(axis=1)
+        degenerate = np.zeros(len(total), dtype=bool)
+    else:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lp, w = base._log_pdf_and_kernel(X, kind is Kind.FIRST)
+            total = lp.sum(axis=1)
+            w_sum = w.sum(axis=1)
             if lam is None:
                 degenerate = _saturated(w_sum)
                 lam = np.where(degenerate, 1.0, -n / w_sum)
+            else:
+                degenerate = np.zeros(len(total), dtype=bool)
             total = np.where(lam == 1.0, total,
                              total + (n * _plog(lam) + (lam - 1.0) * w_sum))
     # a -inf density term makes ln L -inf whatever the sum says (the sum
     # is nan when +inf terms are present too)
-    odd = np.flatnonzero(~np.isfinite(total))
-    total[odd[np.isneginf(lp[odd]).any(axis=1)]] = -np.inf
+    odd = ~np.isfinite(total)
+    if odd.any():
+        odd = np.flatnonzero(odd)
+        total[odd[np.isneginf(lp[odd]).any(axis=1)]] = -np.inf
     return total, degenerate
 
 
@@ -181,7 +184,7 @@ def mle_lambda(kind, base_family, theta, s) -> float:
     smaller than 1e-300 in magnitude (all F(x_j) at the opposite end).
     """
     kind, base, x = _validated_point(kind, base_family, theta, s)
-    total = float(_kernel_sums(kind, base, x)[0])
+    total = float(_kernel_log(kind, base, x).sum(axis=1)[0])
     if _saturated(total):
         raise DegenerateSampleError(
             f"sum of log-CDF terms is {total!r}; the sample saturates the "
@@ -238,22 +241,38 @@ def _golden_max(h, lo, hi):
     both = h(np.concatenate([c, d]), np.concatenate([every, every]))
     hc, hd = both[:a.size], both[a.size:]
     for _ in range(_GOLDEN_MAX_ITER):
-        live = np.flatnonzero(b - a > _GOLDEN_TOL)
+        open_ = b - a > _GOLDEN_TOL
+        if open_.all():
+            # every row steps: no gathers or scatters
+            left, a, b, c, d = _golden_step(a, b, c, d, hc, hd)
+            v = h(np.where(left, c, d), every)
+            hc, hd = np.where(left, v, hd), np.where(left, hc, v)
+            continue
+        live = np.flatnonzero(open_)
         if live.size == 0:
             break
-        al, bl, cl, dl = a[live], b[live], c[live], d[live]
         hcl, hdl = hc[live], hd[live]
-        left = hcl >= hdl  # keep [a, d]; otherwise keep [c, b]
-        na = np.where(left, al, cl)
-        nb = np.where(left, dl, bl)
-        nc = np.where(left, nb - _INVPHI * (nb - na), dl)
-        nd = np.where(left, cl, na + _INVPHI * (nb - na))
+        left, na, nb, nc, nd = _golden_step(a[live], b[live], c[live], d[live], hcl, hdl)
         v = h(np.where(left, nc, nd), live)
         a[live], b[live], c[live], d[live] = na, nb, nc, nd
         hc[live] = np.where(left, v, hdl)
         hd[live] = np.where(left, hcl, v)
     at_c = hc >= hd
     return np.where(at_c, c, d), np.where(at_c, hc, hd)
+
+
+def _golden_step(a, b, c, d, hc, hd):
+    """One golden-section step per row: ``(left, a, b, c, d)`` after it.
+
+    ``left`` marks the rows that keep [a, d] (their new probe is c);
+    the others keep [c, b] (their new probe is d).
+    """
+    left = hc >= hd
+    na = np.where(left, a, c)
+    nb = np.where(left, d, b)
+    nc = np.where(left, nb - _INVPHI * (nb - na), d)
+    nd = np.where(left, c, na + _INVPHI * (nb - na))
+    return left, na, nb, nc, nd
 
 
 def _coordinate_max(h, start, bounds):
@@ -363,7 +382,9 @@ def _fit_rows(kind: Kind, family, X, bounds, lam, extras=()):
 
     def h(theta, rows):
         base = family._at_columns(theta)
-        value, degenerate = _evaluate(kind, base, X[sample_of[rows]], lam)
+        # a lone sample broadcasts against the parameter rows, uncopied
+        block = X if len(X) == 1 else X[sample_of[rows]]
+        value, degenerate = _evaluate(kind, base, block, lam)
         return np.where(degenerate | np.isnan(value), -np.inf, value)
 
     theta, value = _coordinate_max(h, np.tile(starts, (len(X), 1)), bounds)

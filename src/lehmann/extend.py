@@ -119,13 +119,12 @@ class ExtendedDistribution(_Law):
         return self.lam * _kernel_log(self.kind, self.base, x)
 
     def _log_pdf(self, x):
-        lp = self.base._log_pdf(x)
         if self.lam == 1.0:
-            return lp
-        w = _kernel_log(self.kind, self.base, x)
+            return self.base._log_pdf(x)
         # w = -inf with lam < 1 gives +inf: the boundary divergence.
         # Outside the support lp = -inf must win over that +inf.
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp, w = self.base._log_pdf_and_kernel(x, self.kind is Kind.FIRST)
             out = math.log(self.lam) + lp + (self.lam - 1.0) * w
         return np.where(np.isneginf(lp), -np.inf, out)
 

@@ -247,3 +247,60 @@ def test_family_implementing_only_the_contract(rayleigh):
     assert abs(fit.lambda_hat - 2.0) < 0.3
     assert abs(fit.theta_hat[0] - 1.5) < 0.1
     assert kl_numeric(g1, d).value == pytest.approx(math.log(2.0) - 0.5, abs=1e-9)
+
+
+# -- the fused kernel ---------------------------------------------------------
+
+# 0, below the support, next to 0, the body and far in the tail
+FUSED_X = np.array([0.0, -2.0, -1e-300, 1e-300, 0.01, 0.4, 1.0, 2.5, 30.0, 1e3, 1e6])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _separate_kernels(d, x, first):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d._log_pdf(x), (d._log_cdf(x) if first else d._log_sf(x))
+
+
+def _fused_kernel(d, x, first):
+    # callers of the fused kernel silence floating-point warnings
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d._log_pdf_and_kernel(x, first)
+
+
+WEIBULL_FUSED = [(1.0, 0.7), (2.0, 1.3), (0.5, 2.0), (0.7, 3.0)]
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("d", [Weibull(*t) for t in WEIBULL_FUSED]
+                         + [Uniform(), Exponential(1.0), Exponential(0.3)],
+                         ids=lambda d: d.describe())
+def test_fused_kernel_equals_the_separate_kernels(d, first):
+    # Weibull overrides the fused kernel; uniform and exponential use the default
+    fused = _fused_kernel(d, FUSED_X, first)
+    assert all(_same_bits(f, s) for f, s in zip(fused, _separate_kernels(d, FUSED_X, first)))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("shared", [False, True], ids=["block", "one-row"])
+def test_weibull_fused_column_kernel_equals_the_scalar_kernels(shared, first):
+    theta = np.array(WEIBULL_FUSED)
+    columns = Weibull._at_columns(theta)
+    # one row per parameter point, or one (1, n) row shared by all of them
+    x = FUSED_X[None, :] if shared else np.vstack([FUSED_X * (1.0 + 0.1 * r)
+                                                   for r in range(len(theta))])
+    lp, w = _fused_kernel(columns, x, first)
+    for r, t in enumerate(WEIBULL_FUSED):
+        lp_r, w_r = _separate_kernels(Weibull(*t), x[0 if shared else r], first)
+        assert _same_bits(lp[r], lp_r) and _same_bits(w[r], w_r), t
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_family_without_a_fused_kernel_gets_the_default(rayleigh, first):
+    assert "_log_pdf_and_kernel" not in vars(rayleigh)
+    d = rayleigh(1.5)
+    fused = _fused_kernel(d, FUSED_X, first)
+    assert all(_same_bits(f, s) for f, s in zip(fused, _separate_kernels(d, FUSED_X, first)))

@@ -20,8 +20,9 @@ from lehmann import (
     lrt_statistics,
     mle_lambda,
     run_power_study,
+    sample,
 )
-from lehmann.estimate import _fit_block, _multistarts
+from lehmann.estimate import _fit_block, _golden_max, _multistarts
 from lehmann.lrt_sim import (
     _cell_statistics,
     _draw_block,
@@ -107,6 +108,22 @@ def _golden(f, a, b):
             d = a + INVPHI * (b - a)
             fd = f(d)
     return (c, fc) if fc >= fd else (d, fd)
+
+
+def test_golden_max_rows_with_different_brackets_match_lone_searches():
+    # unequal bracket widths close after different numbers of steps, so the
+    # lockstep search runs both with every row open and with some closed
+    lo = np.array([0.0, -1.0, 2.0, 0.5, 3.0])
+    hi = np.array([1.0, 5.0, 2.5, 100.0, 3.0 + 1e-7])
+    peak = np.array([0.3, 4.0, 2.49, 7.0, 3.0])
+
+    def h(points, rows):
+        return -(points - peak[rows]) * (points - peak[rows])
+
+    at, value = _golden_max(h, lo, hi)
+    for r in range(len(lo)):
+        alone = _golden(lambda v, r=r: -(v - peak[r]) * (v - peak[r]), lo[r], hi[r])
+        assert (at[r], value[r]) == alone
 
 
 def _reference_fit(kind, family, x, bounds, lam, extras):
@@ -235,3 +252,24 @@ def test_report_bytes_are_pinned(name):
     fields, digest = PINNED_REPORTS[name]
     report = run_power_study(SimConfig(**fields))
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of FitResult.to_json() for first-kind Weibull fit_full on
+# sample(extend(Weibull(2, 1), lam, FIRST), n, 2026), recorded before the
+# fused Weibull kernel: the 2-D profile search must reproduce every byte
+PINNED_WEIBULL_FITS = {
+    (0.5, 50): "05580a3d50e7374037a7abb08f0d10fdfdead6add35febdcf732ceb26acc5e05",
+    (0.5, 200): "17c8c607124383e3b75ebe35f787f053d52d1778bd194cba0b2d3d7479798b16",
+    (2.0, 50): "2bf0c2f736b71d96a554223489f0ff9ac270eb75f3f5c845fb806b90cb6487fa",
+    (2.0, 200): "c91b94e712d0e5f6fa91c77d369d2e72280b49e95a28d0f0eb2275bfdf84b187",
+}
+
+
+@pytest.mark.parametrize("lam,n", sorted(PINNED_WEIBULL_FITS))
+def test_first_kind_weibull_fit_bytes_are_pinned(lam, n):
+    if _float_fingerprint() != RECORDED_FLOATS:
+        pytest.skip("log/exp round differently here than where the digests were recorded")
+    x = sample(extend(Weibull(2.0, 1.0), lam, Kind.FIRST), n, 2026)
+    fit = fit_full(Kind.FIRST, "weibull", x, theta_bounds=((0.1, 40.0), (0.05, 20.0)))
+    digest = hashlib.sha256(fit.to_json().encode("utf-8")).hexdigest()
+    assert digest == PINNED_WEIBULL_FITS[lam, n]

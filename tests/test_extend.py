@@ -79,6 +79,25 @@ def test_boundary_density_divergence_for_small_lambda():
     assert h.pdf(1.5) == 0.0
 
 
+def _log_pdf_by_separate_kernels(g, x):
+    """The powered log density from the base's separate log kernels."""
+    lp = g.base._log_pdf(x)
+    w = g.base._log_cdf(x) if g.kind is Kind.FIRST else g.base._log_sf(x)
+    with np.errstate(invalid="ignore"):
+        out = math.log(g.lam) + lp + (g.lam - 1.0) * w
+    return np.where(np.isneginf(lp), -np.inf, out)
+
+
+@pytest.mark.parametrize("base", BASES + [Weibull(1.0, 0.7), Weibull(0.5, 2.0),
+                                          Weibull(0.7, 3.0)], ids=lambda b: b.describe())
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+@pytest.mark.parametrize("kind", [Kind.FIRST, Kind.SECOND])
+def test_log_pdf_uses_the_fused_kernel_bit_for_bit(base, lam, kind):
+    x = np.array([-1.0, 0.0, 1e-300, 0.01, 0.3, 0.999, 1.0, 2.0, 40.0, 1e3])
+    g = extend(base, lam, kind)
+    assert g._log_pdf(x).tobytes() == _log_pdf_by_separate_kernels(g, x).tobytes()
+
+
 def test_support_is_the_base_support():
     for base in BASES:
         assert extend(base, 7.3).support == base.support
