@@ -488,13 +488,9 @@ def _qags(f, a, b, epsabs, epsrel, limit):
     return result, abserr, ier
 
 
-def integrate_unit(
-    f: Callable[[np.ndarray], np.ndarray],
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
-) -> tuple[float, float]:
-    """Integrate the array function ``f`` over (0, 1); return
-    ``(value, error_estimate)``.
+def integrate_unit(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """Integrate the array function ``f`` over (0, 1) to ABS_TOL and
+    REL_TOL; return ``(value, error_estimate)``.
 
     ``f`` maps a 1-D array of nodes to an array of values of the same
     shape (a scalar result is broadcast). Raises :class:`NumericalError`
@@ -502,7 +498,7 @@ def integrate_unit(
     finite, or when QUADPACK reports a failure and the error bound is
     still above tolerance.
     """
-    value, err, ier = _qags(f, 0.0, 1.0, abs_tol, rel_tol, MAX_SUBDIVISIONS)
+    value, err, ier = _qags(f, 0.0, 1.0, ABS_TOL, REL_TOL, MAX_SUBDIVISIONS)
     # an infinite error bound never compares above tol * |inf|
     if not (math.isfinite(value) and math.isfinite(err)):
         raise NumericalError(
@@ -510,7 +506,7 @@ def integrate_unit(
             f"error estimate {err!r}",
             value=value, error_estimate=err,
         )
-    if ier != 0 and err > max(abs_tol, rel_tol * abs(value)):
+    if ier != 0 and err > max(ABS_TOL, REL_TOL * abs(value)):
         raise NumericalError(
             f"quadrature did not converge: {_MESSAGES[ier]}",
             value=value, error_estimate=err,

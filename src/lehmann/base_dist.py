@@ -372,15 +372,12 @@ class Weibull(BaseDistribution):
     def _log_pdf_at(self, x, z):
         # ln f given z = _z(x); floating-point warnings silenced by the caller
         k, s = self.shape, self.scale
-        if not isinstance(k, np.ndarray) and k == 1.0:
-            return np.where(x >= 0.0, -math.log(s) - x / s, -np.inf)
         body = _plog(k / s) + (k - 1.0) * np.log(x / s) - z
-        if isinstance(k, np.ndarray):
-            # rows at shape 1 take the exponential form, as a scalar would
-            ones = k[:, 0] == 1.0
-            if ones.any():
-                x1 = np.broadcast_to(x, body.shape)[ones]
-                body[ones] = -_plog(s[ones]) - x1 / s[ones]
+        # shape 1 takes the exponential form: the general body is
+        # 0 * ln(0) = nan at x = 0
+        ones = np.equal(k, 1.0)
+        if ones.any():
+            body = np.where(ones, -_plog(s) - x / s, body)
         return np.where(x >= 0.0, body, -np.inf)
 
     def _log_pdf(self, x):

@@ -129,8 +129,7 @@ def cmd_fit(input, dist, out) -> None:
         kind, base = d.kind, d.base
     else:
         kind, base = Kind.FIRST, d
-    bounds = _default_box(base.theta) or None
-    result = fit_full(kind, type(base), s, theta_bounds=bounds)
+    result = fit_full(kind, type(base), s, theta_bounds=_default_box(base.theta))
     _emit(result.to_json() + "\n", out)
 
 

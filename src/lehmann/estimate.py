@@ -9,14 +9,15 @@ which is done by golden-section line searches with coordinate cycling
 and a fixed low-discrepancy multistart set. No gradients are needed.
 
 Every fit runs on one block engine. An ``(R, n)`` block of samples is
-validated once (family, bounds box, support); after that each objective
-evaluation is a single call of the family's broadcasting log kernels for
-every live row, and the golden-section searches advance all rows in
-lockstep, each row stopping on its own convergence test. A row is a
-(sample, multistart) pair. The public fits are the R = 1 case, and
-:mod:`lehmann.lrt_sim` fits all replications of a power-study cell at
-once. Each row does the arithmetic it would do alone, so a row of a block
-gives the same bits as its R = 1 fit.
+validated once (family, bounds box, support). A row is a (sample,
+multistart) pair. Each coordinate sweep binds the rows still moving to
+their samples once; within the sweep every objective evaluation is a
+single call of the family's broadcasting log kernels for all of those
+rows, and a golden-section search steps them in lockstep, a row whose
+bracket has closed keeping its state. The public fits are the R = 1
+case, and :mod:`lehmann.lrt_sim` fits all replications of a power-study
+cell at once. Each row does the arithmetic it would do alone, so a row
+of a block gives the same bits as its R = 1 fit.
 
 ``base_family`` arguments accept a registered family id, the family
 class, or an instance (its class is used).
@@ -227,76 +228,62 @@ def _multistarts(bounds) -> list[tuple[float, ...]]:
 def _golden_max(h, lo, hi):
     """Golden-section maximization on [lo, hi] to width _GOLDEN_TOL.
 
-    ``lo`` and ``hi`` hold one bracket per row, and ``h(points, rows)``
-    evaluates the rows ``rows`` (indices into the brackets) at
-    ``points``. All rows advance in lockstep; a row whose bracket is
-    narrow enough stops while the others go on. Returns the best point
-    and value of every row.
+    ``lo`` and ``hi`` hold one bracket per row, and ``h(points)``
+    evaluates every row at its point. Every row steps in lockstep; a row
+    whose bracket is narrow enough keeps its state, through a mask, while
+    the others go on. Returns the best point and value of every row.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    every = np.arange(a.size)
-    both = h(np.concatenate([c, d]), np.concatenate([every, every]))
-    hc, hd = both[:a.size], both[a.size:]
+    state = np.array([a, b, c, d, h(c), h(d)])
     for _ in range(_GOLDEN_MAX_ITER):
+        a, b, c, d, hc, hd = state
         open_ = b - a > _GOLDEN_TOL
-        if open_.all():
-            # every row steps: no gathers or scatters
-            left, a, b, c, d = _golden_step(a, b, c, d, hc, hd)
-            v = h(np.where(left, c, d), every)
-            hc, hd = np.where(left, v, hd), np.where(left, hc, v)
-            continue
-        live = np.flatnonzero(open_)
-        if live.size == 0:
+        if not np.count_nonzero(open_):
             break
-        hcl, hdl = hc[live], hd[live]
-        left, na, nb, nc, nd = _golden_step(a[live], b[live], c[live], d[live], hcl, hdl)
-        v = h(np.where(left, nc, nd), live)
-        a[live], b[live], c[live], d[live] = na, nb, nc, nd
-        hc[live] = np.where(left, v, hdl)
-        hd[live] = np.where(left, hcl, v)
+        # rows with hc >= hd keep [a, d] and probe a new c; the others
+        # keep [c, b] and probe a new d
+        left = hc >= hd
+        na = np.where(left, a, c)
+        nb = np.where(left, d, b)
+        w = _INVPHI * (nb - na)
+        probe = np.where(left, nb - w, na + w)
+        v = h(probe)
+        stepped = (na, nb, np.where(left, probe, d), np.where(left, c, probe),
+                   np.where(left, v, hd), np.where(left, hc, v))
+        state = np.where(open_, stepped, state)
+    a, b, c, d, hc, hd = state
     at_c = hc >= hd
     return np.where(at_c, c, d), np.where(at_c, hc, hd)
 
 
-def _golden_step(a, b, c, d, hc, hd):
-    """One golden-section step per row: ``(left, a, b, c, d)`` after it.
-
-    ``left`` marks the rows that keep [a, d] (their new probe is c);
-    the others keep [c, b] (their new probe is d).
-    """
-    left = hc >= hd
-    na = np.where(left, a, c)
-    nb = np.where(left, d, b)
-    nc = np.where(left, nb - _INVPHI * (nb - na), d)
-    nd = np.where(left, c, na + _INVPHI * (nb - na))
-    return left, na, nb, nc, nd
-
-
-def _coordinate_max(h, start, bounds):
+def _coordinate_max(objective, start, bounds):
     """Cycle golden-section line searches over the coordinates of theta.
 
-    ``start`` holds one start point per row and ``h(theta, rows)``
-    evaluates the rows ``rows`` at the points ``theta``. A row sweeps
-    until its largest coordinate move falls below _GOLDEN_TOL (a single
-    sweep in one dimension).
+    ``start`` holds one start point per row. Each sweep binds its active
+    rows once: ``objective(rows)`` returns the evaluator ``h(theta)`` of
+    those rows, one point per row. A row sweeps until its largest
+    coordinate move falls below _GOLDEN_TOL (a single sweep in one
+    dimension); a row that has converged is not evaluated again.
     """
     theta = np.array(start, dtype=float)
     value = np.full(len(theta), -np.inf)
     rows = np.arange(len(theta))
     for _ in range(_MAX_SWEEPS):
+        h = objective(rows)
         moved = np.zeros(rows.size)
         for i, (lo, hi) in enumerate(bounds):
+            current = theta[rows]
 
-            def line(v, idx, _i=i, _rows=rows):
-                trial = theta[_rows[idx]]
+            def line(v, _i=i, _current=current):
+                trial = _current.copy()
                 trial[:, _i] = v
-                return h(trial, _rows[idx])
+                return h(trial)
 
             xi, vi = _golden_max(line, np.full(rows.size, lo), np.full(rows.size, hi))
-            moved = np.maximum(moved, np.abs(xi - theta[rows, i]))
+            moved = np.maximum(moved, np.abs(xi - current[:, i]))
             theta[rows, i] = xi
             value[rows] = vi
         rows = rows[moved >= _GOLDEN_TOL]
@@ -316,12 +303,14 @@ def _checked_box(family, bounds):
     The search only visits interior points, so the open box must lie in
     the parameter domain: its corners are checked one step inside.
     Returns the bounds as float pairs and the member at the lower inner
-    corner.
+    corner. A parameter-free family takes no box (None or empty).
     """
     if bounds is None:
-        raise DomainError(
-            f"theta_bounds required: the family has parameters {family.param_names}"
-        )
+        if family.param_names:
+            raise DomainError(
+                f"theta_bounds required: the family has parameters {family.param_names}"
+            )
+        bounds = ()
     out = []
     for lo, hi in bounds:
         lo, hi = float(lo), float(hi)
@@ -380,17 +369,20 @@ def _fit_rows(kind: Kind, family, X, bounds, lam, extras=()):
     per = len(starts)
     sample_of = np.repeat(np.arange(len(X)), per)
 
-    def h(theta, rows):
-        base = family._at_columns(theta)
-        # a lone sample broadcasts against the parameter rows, uncopied
-        block = X if len(X) == 1 else X[sample_of[rows]]
-        value, degenerate = _evaluate(kind, base, block, lam)
-        return np.where(degenerate | np.isnan(value), -np.inf, value)
+    def scorer(block):
+        def h(theta):
+            value, degenerate = _evaluate(kind, family._at_columns(theta), block, lam)
+            return np.where(degenerate | np.isnan(value), -np.inf, value)
+        return h
 
-    theta, value = _coordinate_max(h, np.tile(starts, (len(X), 1)), bounds)
+    def objective(rows):
+        # a lone sample broadcasts against the parameter rows, uncopied
+        return scorer(X if len(X) == 1 else X[sample_of[rows]])
+
+    theta, value = _coordinate_max(objective, np.tile(starts, (len(X), 1)), bounds)
     candidates = [(theta[j::per], value[j::per]) for j in range(per)]
-    first_rows = np.arange(0, len(sample_of), per)
-    candidates.extend((t, h(t, first_rows)) for t in extras)
+    h = scorer(X)
+    candidates.extend((t, h(t)) for t in extras)
     return candidates
 
 
@@ -419,58 +411,42 @@ def _degenerate_guard(family, x: np.ndarray) -> None:
         )
 
 
-def _fit_one(kind: Kind, family, x, theta_bounds, lam, extra_candidates):
-    """The R = 1 fit behind fit_full and fit_restricted."""
-    bounds, member = _checked_box(family, theta_bounds)
-    X = _as_block(x)
-    _check_support(member, X)
-    extras = []
-    for theta in extra_candidates:
-        theta = tuple(float(v) for v in theta)
-        if len(theta) != len(bounds):
-            raise DomainError(f"extra candidate {theta!r} has the wrong dimension")
-        family.from_theta(theta)
-        extras.append(np.array([theta]))
-    candidates = _fit_rows(kind, family, X, bounds, lam, extras)
-    theta_hat = tuple(float(v) for v in _pick_best(candidates)[0][0])
-    trace = tuple((tuple(float(v) for v in t[0]), float(val[0])) for t, val in candidates)
-    return theta_hat, trace, _boundary_warnings(theta_hat, bounds)
-
-
-def _fit(kind, base_family, s, lam, theta_bounds, extra_candidates) -> FitResult:
+def _fit(kind, base_family, s, lam, theta_bounds) -> FitResult:
     """The fit behind fit_full (lam None: profiled out) and fit_restricted."""
     kind = _coerce_kind(kind)
     family = _resolve_family(base_family)
     x = sample_values(s)
     _degenerate_guard(family, x)
+    bounds, member = _checked_box(family, theta_bounds)
     theta_hat, trace, warnings = (), None, ()
-    if family.param_names:
-        theta_hat, trace, warnings = _fit_one(
-            kind, family, x, theta_bounds, lam, extra_candidates
-        )
+    if bounds:
+        X = _as_block(x)
+        _check_support(member, X)
+        candidates = _fit_rows(kind, family, X, bounds, lam)
+        theta_hat = tuple(float(v) for v in _pick_best(candidates)[0][0])
+        trace = tuple((tuple(float(v) for v in t[0]), float(val[0])) for t, val in candidates)
+        warnings = _boundary_warnings(theta_hat, bounds)
     if lam is None:
         lam = mle_lambda(kind, family, theta_hat, x)
     ll = loglik(kind, family, theta_hat, lam, x)
     return FitResult(lam, theta_hat, ll, x.size, profile_trace=trace, warnings=warnings)
 
 
-def fit_full(kind, base_family, s, theta_bounds=None, extra_candidates=()) -> FitResult:
+def fit_full(kind, base_family, s, theta_bounds=None) -> FitResult:
     """Maximize ll(lambda, theta) jointly, lambda by its closed form.
 
     For each candidate theta the exponent is profiled out analytically;
     theta then maximizes the profile by golden-section coordinate search
-    inside ``theta_bounds``. ``extra_candidates`` are theta points
-    evaluated alongside the multistart results (useful for exact nesting
-    guarantees). A solution at the edge of the box is reported in
-    ``warnings``. The reported values are :func:`mle_lambda` and
-    :func:`loglik` at the solution.
+    from a fixed multistart set inside ``theta_bounds``, which a family
+    with parameters requires and a parameter-free family refuses. The
+    multistart results are kept in ``profile_trace``; a solution at the
+    edge of the box is reported in ``warnings``. The reported values are
+    :func:`mle_lambda` and :func:`loglik` at the solution.
     """
-    return _fit(kind, base_family, s, None, theta_bounds, extra_candidates)
+    return _fit(kind, base_family, s, None, theta_bounds)
 
 
-def fit_restricted(
-    kind, base_family, s, lambda_fixed, theta_bounds=None, extra_candidates=()
-) -> FitResult:
+def fit_restricted(kind, base_family, s, lambda_fixed, theta_bounds=None) -> FitResult:
     """Maximize ll(lambda_fixed, theta) over theta only."""
     lam = _finite_positive("lambda_fixed", lambda_fixed)
-    return _fit(kind, base_family, s, lam, theta_bounds, extra_candidates)
+    return _fit(kind, base_family, s, lam, theta_bounds)

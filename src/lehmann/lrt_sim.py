@@ -43,6 +43,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -129,6 +130,9 @@ class SimConfig:
                 raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if not self.lambda_grid:
             raise DomainError("lambda_grid must be nonempty")
+        if not isinstance(self.alpha, numbers.Real) or isinstance(self.alpha, bool):
+            raise DomainError(f"alpha must be a number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.n < 1:
@@ -493,18 +497,10 @@ class LrtReport:
             f"# alpha: {self.config.alpha!r}",
         ]
         lines.extend(f"# warning: {w}" for w in self.warnings)
-        lines.append(
-            "lambda,power_full,power_misspec,se_full,se_misspec,"
-            "mean_log_ratio,se_mean_log_ratio,delta_closed,"
-            "crit_full,crit_misspec,failures"
-        )
-        for c in self.cells:
-            lines.append(
-                f"{c.lam!r},{c.power_full!r},{c.power_misspec!r},"
-                f"{c.se_full!r},{c.se_misspec!r},{c.mean_log_ratio!r},"
-                f"{c.se_mean_log_ratio!r},{c.delta_closed!r},"
-                f"{c.crit_full!r},{c.crit_misspec!r},{c.failures}"
-            )
+        rows = [c.as_dict() for c in self.cells]
+        if rows:
+            lines.append(",".join(rows[0]))
+        lines.extend(",".join(map(repr, row.values())) for row in rows)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

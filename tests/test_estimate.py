@@ -118,6 +118,17 @@ def test_fit_full_uniform_reduces_to_mle_lambda():
     )
 
 
+@pytest.mark.parametrize("fit", [
+    lambda x, box: fit_full(Kind.FIRST, "uniform", x, theta_bounds=box),
+    lambda x, box: fit_restricted(Kind.FIRST, "uniform", x, 1.5, theta_bounds=box),
+], ids=["fit_full", "fit_restricted"])
+def test_parameter_free_fit_refuses_a_box(fit):
+    x = sample(extend(Uniform(), 2.0), 50, 3).values
+    with pytest.raises(DomainError, match="component"):
+        fit(x, ((1.0, 2.0),))
+    assert fit(x, None) == fit(x, ())
+
+
 def test_fit_full_dominates_any_fixed_point():
     x = sample(extend(Exponential(1.0), 1.0), 300, 8).values
     fit = fit_full(Kind.FIRST, Exponential, x, EXP_BOUNDS)

@@ -90,6 +90,18 @@ def test_config_accepts_numpy_integers():
     assert config_hash(cfg) == config_hash(uniform_cfg())
 
 
+def test_config_stores_alpha_as_a_python_float():
+    cfg = uniform_cfg(alpha=np.float64(0.05))
+    assert type(cfg.alpha) is float
+    assert config_hash(cfg) == config_hash(uniform_cfg())
+    assert canonical_config_text(cfg) == canonical_config_text(uniform_cfg())
+    assert "alpha = 0.05\n" in canonical_config_text(cfg)
+    assert run_power_study(cfg).to_csv() == run_power_study(uniform_cfg()).to_csv()
+    for value in ("0.05", None, True):
+        with pytest.raises(DomainError, match="alpha must be a number"):
+            uniform_cfg(alpha=value)
+
+
 def test_parse_config_golden():
     cfg = parse_sim_config(CONFIG_TEXT)
     assert cfg.kind is Kind.FIRST

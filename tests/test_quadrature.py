@@ -75,8 +75,8 @@ class _Recorder:
 
         return wrapped
 
-    def __call__(self, f, *args, **kwargs):
-        self.result = integrate_unit(self.recorded(f), *args, **kwargs)
+    def __call__(self, f):
+        self.result = integrate_unit(self.recorded(f))
         return self.result
 
     def seen(self, t: float) -> float:
