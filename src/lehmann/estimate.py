@@ -5,18 +5,19 @@ parameters: with S = sum of log F(x_j) (first kind) or log(1 - F(x_j))
 (second kind), the maximizer is ``lambda_hat = -n / S``. Fitting the
 remaining base parameters therefore reduces to maximizing the profile
 log-likelihood ``ll(lambda_hat(theta), theta)`` over a bounded box,
-which is done by golden-section line searches with coordinate cycling
-and a fixed low-discrepancy multistart set. No gradients are needed.
+which is done by Brent line searches (golden-section and parabolic
+steps) with coordinate cycling and a fixed low-discrepancy multistart
+set. No gradients are needed.
 
 Every fit runs on one block engine. An ``(R, n)`` block of samples is
 validated once (family, bounds box, support). A row is a (sample,
-multistart) pair. Each coordinate sweep binds the rows still moving to
+multistart) pair. Each coordinate sweep binds the rows still sweeping to
 their samples once; within the sweep every objective evaluation is a
 single call of the family's broadcasting log kernels for all of those
-rows, and a golden-section search steps them in lockstep, a row whose
-bracket has closed keeping its state. The public fits are the R = 1
-case, and :mod:`lehmann.lrt_sim` fits all replications of a power-study
-cell at once. Each row does the arithmetic it would do alone, so a row
+rows, and a Brent search steps them in lockstep, a row whose bracket
+has closed keeping its state. The public fits are the R = 1 case, and
+:mod:`lehmann.lrt_sim` fits all replications of a power-study cell at
+once. Each row does the arithmetic it would do alone, so a row
 of a block gives the same bits as its R = 1 fit.
 
 ``base_family`` arguments accept a registered family id, the family
@@ -35,12 +36,20 @@ from .base_dist import FAMILIES, BaseDistribution, _finite_positive, _plog
 from .errors import DegenerateSampleError, DomainError, SupportError
 from .extend import Kind, _coerce_kind, _kernel_log, sample_values
 
+# line searches run on [0, 1] and close at about this width (scipy's xatol)
 _GOLDEN_TOL = 1e-8
+# objective calls per line search, the first included (scipy's maxiter)
 _GOLDEN_MAX_ITER = 200
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+# the farthest from a [0, 1] edge at which a line search can close there
+_EDGE_TOL = 2.0 * (_SQRT_EPS + _GOLDEN_TOL / 3.0)
 _MAX_SWEEPS = 10
+# a row stops sweeping once a sweep raises its value by at most this
+# much relative to 1 + |value|
+_SWEEP_GAIN = 1e-12
 _N_MULTISTARTS = 5
 _TIE_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _HALTON_BASES = (2, 3, 5)
 # a log-kernel sum smaller than this in magnitude saturates the exponent MLE
 _SATURATED = 1e-300
@@ -209,7 +218,7 @@ def _halton(index: int, base: int) -> float:
 def _multistarts(bounds) -> list[tuple[float, ...]]:
     dim = len(bounds)
     if dim == 1:
-        # golden section over the full bracket does not depend on the
+        # a line search over the full bracket does not depend on the
         # start, so one start is exactly equivalent to five
         count = 1
     else:
@@ -226,67 +235,114 @@ def _multistarts(bounds) -> list[tuple[float, ...]]:
 
 
 def _golden_max(h, lo, hi):
-    """Golden-section maximization on [lo, hi] to width _GOLDEN_TOL.
+    """Bounded Brent maximization on [lo, hi], one bracket per row.
 
-    ``lo`` and ``hi`` hold one bracket per row, and ``h(points)``
-    evaluates every row at its point. Every row steps in lockstep; a row
-    whose bracket is narrow enough keeps its state, through a mask, while
-    the others go on. Returns the best point and value of every row.
+    A lockstep port of scipy's bounded scalar minimizer
+    (``scipy.optimize._optimize._minimize_scalar_bounded``; Brent 1973,
+    ch. 5) applied to -h: golden-section steps with parabolic steps when
+    the parabola through the three best points is acceptable, closing at
+    ``tol1 = sqrt_eps * |x| + _GOLDEN_TOL / 3``. Each row takes the steps
+    it would take alone, so a row gives scipy's bits for its bracket.
+    ``h(points)`` evaluates every row at its point. Every row steps in
+    lockstep; a row whose bracket has closed keeps its state, through a
+    mask, and is evaluated at its best point while the others go on.
+    Returns the best point and value of every row. The name predates
+    the method and stays: the benchmark tracer (``perfbench/tracer.py``)
+    looks the function up by it to time and count line searches.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    state = np.array([a, b, c, d, h(c), h(d)])
-    for _ in range(_GOLDEN_MAX_ITER):
-        a, b, c, d, hc, hd = state
-        open_ = b - a > _GOLDEN_TOL
-        if not np.count_nonzero(open_):
-            break
-        # rows with hc >= hd keep [a, d] and probe a new c; the others
-        # keep [c, b] and probe a new d
-        left = hc >= hd
-        na = np.where(left, a, c)
-        nb = np.where(left, d, b)
-        w = _INVPHI * (nb - na)
-        probe = np.where(left, nb - w, na + w)
-        v = h(probe)
-        stepped = (na, nb, np.where(left, probe, d), np.where(left, c, probe),
-                   np.where(left, v, hd), np.where(left, hc, v))
-        state = np.where(open_, stepped, state)
-    a, b, c, d, hc, hd = state
-    at_c = hc >= hd
-    return np.where(at_c, c, d), np.where(at_c, hc, hd)
+    xf = a + _GOLDEN_MEAN * (b - a)
+    fx = -h(xf)
+    zero = np.zeros_like(xf)
+    # a, b, the best point xf, the second best nfc, the third best fulc,
+    # their negated values, and the last two step lengths e and rat
+    state = np.array([a, b, xf, fx, xf, fx, xf, fx, zero, zero])
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(_GOLDEN_MAX_ITER - 1):
+            a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat = state
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + _GOLDEN_TOL / 3.0
+            tol2 = 2.0 * tol1
+            open_ = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+            if not np.count_nonzero(open_):
+                break
+            # the parabola through the three best points, when the step
+            # before last was long enough to trust it
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (p > q * (a - xf)) & (p < q * (b - xf)))
+            step = (p + 0.0) / q
+            x = xf + step
+            near_edge = ((x - a) < tol2) | ((b - x) < tol2)
+            toward_middle = np.sign(xm - xf) + ((xm - xf) == 0)
+            step = np.where(near_edge, tol1 * toward_middle, step)
+            # otherwise a golden-section step into the larger part
+            e_golden = np.where(xf >= xm, a - xf, b - xf)
+            e, rat = np.where(parabolic, (rat, step), (e_golden, _GOLDEN_MEAN * e_golden))
+            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+            fu = -h(np.where(open_, x, xf))
+
+            better = fu <= fx
+            right = x >= xf
+            left = x < xf
+            na = np.where(better, np.where(right, xf, a), np.where(left, x, a))
+            nb = np.where(better, np.where(right, b, xf), np.where(left, b, x))
+            second = ~better & ((fu <= fnfc) | (nfc == xf))
+            third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+            shift = better | second
+            stepped = (
+                na, nb,
+                np.where(better, x, xf), np.where(better, fu, fx),
+                np.where(better, xf, np.where(second, x, nfc)),
+                np.where(better, fx, np.where(second, fu, fnfc)),
+                np.where(shift, nfc, np.where(third, x, fulc)),
+                np.where(shift, fnfc, np.where(third, fu, ffulc)),
+                e, rat,
+            )
+            state = np.where(open_, stepped, state)
+    return state[2], -state[3]
 
 
 def _coordinate_max(objective, start, bounds):
-    """Cycle golden-section line searches over the coordinates of theta.
+    """Cycle Brent line searches over the coordinates of theta.
 
     ``start`` holds one start point per row. Each sweep binds its active
     rows once: ``objective(rows)`` returns the evaluator ``h(theta)`` of
-    those rows, one point per row. A row sweeps until its largest
-    coordinate move falls below _GOLDEN_TOL (a single sweep in one
-    dimension); a row that has converged is not evaluated again.
+    those rows, one point per row. Coordinate i is searched over s in
+    [0, 1], with theta_i = lo + s * (hi - lo), so every line search
+    closes at the same fraction of its box side. A row sweeps until a
+    sweep raises its value by at most _SWEEP_GAIN * (1 + |value|) (a
+    single sweep in one dimension); a row that has stopped is not
+    evaluated again. The value stop also ends a row whose profile is
+    flat along a coordinate, where the point would wander but the value
+    cannot rise.
     """
     theta = np.array(start, dtype=float)
     value = np.full(len(theta), -np.inf)
     rows = np.arange(len(theta))
     for _ in range(_MAX_SWEEPS):
         h = objective(rows)
-        moved = np.zeros(rows.size)
+        before = value[rows]
+        unit = np.zeros(rows.size), np.ones(rows.size)
         for i, (lo, hi) in enumerate(bounds):
-            current = theta[rows]
+            current, side = theta[rows], hi - lo
 
-            def line(v, _i=i, _current=current):
+            def line(s, _i=i, _current=current, _lo=lo, _side=side):
                 trial = _current.copy()
-                trial[:, _i] = v
+                trial[:, _i] = _lo + s * _side
                 return h(trial)
 
-            xi, vi = _golden_max(line, np.full(rows.size, lo), np.full(rows.size, hi))
-            moved = np.maximum(moved, np.abs(xi - current[:, i]))
-            theta[rows, i] = xi
+            si, vi = _golden_max(line, *unit)
+            theta[rows, i] = lo + si * side
             value[rows] = vi
-        rows = rows[moved >= _GOLDEN_TOL]
+        after = value[rows]
+        rows = rows[after > before + _SWEEP_GAIN * (1.0 + np.abs(after))]
         if len(bounds) == 1 or rows.size == 0:
             break
     return theta, value
@@ -346,11 +402,16 @@ def _pick_best(candidates):
 
 
 def _boundary_warnings(theta, bounds) -> tuple[str, ...]:
+    """Notes for the coordinates a line search left at an edge of the box.
+
+    A coordinate is at an edge when it lies within the search's closing
+    distance of it, measured as a fraction of its side of the box.
+    """
     notes = []
     for i, (v, (lo, hi)) in enumerate(zip(theta, bounds)):
-        if v - lo <= 2.0 * _GOLDEN_TOL:
+        if (v - lo) / (hi - lo) <= _EDGE_TOL:
             notes.append(f"theta[{i}]={v!r} sits at the lower bound {lo!r}")
-        elif hi - v <= 2.0 * _GOLDEN_TOL:
+        elif (hi - v) / (hi - lo) <= _EDGE_TOL:
             notes.append(f"theta[{i}]={v!r} sits at the upper bound {hi!r}")
     return tuple(notes)
 
@@ -436,12 +497,19 @@ def fit_full(kind, base_family, s, theta_bounds=None) -> FitResult:
     """Maximize ll(lambda, theta) jointly, lambda by its closed form.
 
     For each candidate theta the exponent is profiled out analytically;
-    theta then maximizes the profile by golden-section coordinate search
-    from a fixed multistart set inside ``theta_bounds``, which a family
-    with parameters requires and a parameter-free family refuses. The
-    multistart results are kept in ``profile_trace``; a solution at the
-    edge of the box is reported in ``warnings``. The reported values are
-    :func:`mle_lambda` and :func:`loglik` at the solution.
+    theta then maximizes the profile by cycling Brent line searches over
+    its coordinates, each across its side of ``theta_bounds``, from a
+    fixed multistart set; a family with parameters requires the box and a
+    parameter-free family refuses it. A start stops once a sweep no
+    longer raises its value, and the best start wins, ties going to the
+    smaller theta: for second-kind bases with a scale, where lambda and
+    the scale are not separately identified and the profile is flat along
+    the scale, that rule picks ``theta_hat``. The search is local along
+    each axis, so on a curved ridge (first-kind Weibull) it can stop
+    short of the maximum. The multistart results are kept in
+    ``profile_trace``; a solution within a line search's closing distance
+    of an edge of the box is reported in ``warnings``. The reported values
+    are :func:`mle_lambda` and :func:`loglik` at the solution.
     """
     return _fit(kind, base_family, s, None, theta_bounds)
 

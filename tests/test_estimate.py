@@ -199,12 +199,26 @@ def test_compose_rescales_lambda_hat():
     assert abs(np.median(lams) - 6.0) < 0.6
 
 
-def test_boundary_solution_warns():
-    # truth rate 1.0 sits far outside the box, the fit pins to its edge
+@pytest.mark.parametrize("box,edge", [((3.0, 9.0), "lower"), ((0.1, 0.99), "upper")],
+                         ids=["lower", "upper"])
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+def test_boundary_solution_warns(box, edge, restricted):
+    # truth rate 1.0 sits outside the box, the fit pins to its edge; the
+    # search closes 2-3e-8 short of it, more than twice its 1e-8 tolerance
     x = sample(extend(Exponential(1.0), 1.0), 1_000, 6).values
-    fit = fit_full(Kind.FIRST, Exponential, x, ((3.0, 9.0),))
-    assert fit.warnings
-    assert "bound" in fit.warnings[0]
+    if restricted:
+        fit = fit_restricted(Kind.FIRST, Exponential, x, 1.0, (box,))
+    else:
+        fit = fit_full(Kind.FIRST, Exponential, x, (box,))
+    (rate,) = fit.theta_hat
+    assert 0.0 < min(rate - box[0], box[1] - rate) < 1e-7
+    assert fit.warnings == (f"theta[0]={rate!r} sits at the {edge} bound {box[edge == 'upper']!r}",)
+
+
+def test_interior_solution_does_not_warn():
+    x = sample(extend(Exponential(1.0), 1.0), 1_000, 6).values
+    assert fit_full(Kind.FIRST, Exponential, x, ((0.1, 1.5),)).warnings == ()
+    assert fit_restricted(Kind.FIRST, Exponential, x, 1.0, ((0.1, 1.5),)).warnings == ()
 
 
 def test_fit_requires_bounds_for_parametric_family():
