@@ -25,17 +25,20 @@ One fused kernel is optional: ``_log_pdf_and_kernel(x, first)`` returns
 ln f with ln F (``first``) or ln(1 - F), the pair the likelihood engine
 and the powered density need. The default calls the two kernels. A
 family overrides it when both share an intermediate worth computing once,
-as Weibull's ``z = (x/scale)**shape``; an override returns exactly the
-bits of the separate kernels, and its caller silences floating-point
-warnings.
+as Weibull's ``ln(x/scale)`` and ``z = (x/scale)**shape``; an override
+returns exactly the bits of the separate kernels, and its caller
+silences floating-point warnings.
 
 The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the fused
 kernel) are the kernels the likelihood engine uses. They must also work
 on the unvalidated instance :meth:`BaseDistribution._at_columns` builds,
 whose parameters are ``(R, 1)`` columns broadcasting against an
 ``(R, n)`` sample block or one ``(1, n)`` sample, return one row per
-parameter row, and give each row the bits a scalar instance would: take
-logs and powers of parameters through :func:`_plog` and :func:`_ppow`.
+parameter row, and give each row the bits a scalar instance would.
+Elementwise numpy does that, with one exception: numpy computes ``y ** k``
+as a square or square root when the one exponent k is 2 or 1/2, but not
+on the rows of a column of exponents. So never use ``**`` with a
+parameter exponent; write the power as ``exp(k * log(y))``.
 """
 
 from __future__ import annotations
@@ -64,40 +67,6 @@ def _log1mexp(z):
     return np.where(z > -_LN2, np.log(-np.expm1(z)), np.log1p(-np.exp(z)))
 
 
-def _plog(v):
-    """math.log of a parameter, or of each entry of a parameter column.
-
-    np.log and math.log can differ in the last ulp, so a column is logged
-    row by row to keep block and scalar evaluations bit-identical.
-    """
-    if isinstance(v, np.ndarray):
-        return np.fromiter(map(math.log, v.ravel().tolist()), float, v.size).reshape(v.shape)
-    return math.log(v)
-
-
-# exponents numpy evaluates as a cheaper ufunc when ``y ** k`` has a scalar k
-_SCALAR_POWER_SHORTCUTS = ((2.0, np.square), (0.5, np.sqrt))
-
-
-def _ppow(y, k):
-    """y ** k for a parameter k, or row by row for an (R, 1) column k.
-
-    numpy evaluates a scalar exponent of 2 or 1/2 as a square or square
-    root, which need not match the general power in the last ulp; rows
-    of a column holding those exponents take the same shortcut so each
-    row equals its scalar evaluation. ``y`` has one row per row of k.
-    Each shortcut costs one mask test; rows are re-evaluated only when
-    some row holds its exponent.
-    """
-    out = y ** k
-    if isinstance(k, np.ndarray):
-        for special, fn in _SCALAR_POWER_SHORTCUTS:
-            rows = k[:, 0] == special
-            if rows.any():
-                out[rows] = fn(y[rows])
-    return out
-
-
 def _ret(out, x):
     """Collapse a 0-d result back to a Python float."""
     return float(out) if np.ndim(x) == 0 else out
@@ -118,15 +87,16 @@ def _finite_positive(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class Support:
-    """A closed real interval."""
+    """A closed real interval; its members are finite reals, so an infinite
+    bound is an open end."""
 
     lower: float
     upper: float
 
     def contains(self, x):
-        """Elementwise membership test (scalar in, bool out)."""
+        """Elementwise membership test (scalar in, bool out); inf and nan fail."""
         x = np.asarray(x, dtype=float)
-        ok = (x >= self.lower) & (x <= self.upper)
+        ok = np.isfinite(x) & (x >= self.lower) & (x <= self.upper)
         return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -331,7 +301,7 @@ class Exponential(BaseDistribution):
         return np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
 
     def _log_pdf(self, x):
-        return np.where(x >= 0.0, _plog(self.rate) - self.rate * x, -np.inf)
+        return np.where(x >= 0.0, np.log(self.rate) - self.rate * x, -np.inf)
 
     def _log_sf(self, x):
         # x < 0 maps to the lower endpoint
@@ -365,33 +335,37 @@ class Weibull(BaseDistribution):
     def support(self) -> Support:
         return Support(0.0, math.inf)
 
-    def _z(self, x):
-        # (x/scale)**shape on x >= 0, 0 below
-        return _ppow(np.maximum(x, 0.0) / self.scale, self.shape)
+    def _log_terms(self, x):
+        # ly = ln(x/scale), -inf at x <= 0, and z = (x/scale)**shape as
+        # exp(shape * ly); floating-point warnings silenced by the caller
+        ly = np.log(np.maximum(x, 0.0)) - np.log(self.scale)
+        return ly, np.exp(self.shape * ly)
 
-    def _log_pdf_at(self, x, z):
-        # ln f given z = _z(x); floating-point warnings silenced by the caller
+    def _log_pdf_at(self, x, ly, z):
+        # ln f given _log_terms(x); floating-point warnings silenced by the caller
         k, s = self.shape, self.scale
-        body = _plog(k / s) + (k - 1.0) * np.log(x / s) - z
+        body = np.log(k) - np.log(s) + (k - 1.0) * ly - z
         # shape 1 takes the exponential form: the general body is
         # 0 * ln(0) = nan at x = 0
         ones = np.equal(k, 1.0)
         if ones.any():
-            body = np.where(ones, -_plog(s) - x / s, body)
+            body = np.where(ones, -np.log(s) - x / s, body)
         return np.where(x >= 0.0, body, -np.inf)
 
     def _log_pdf(self, x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._log_pdf_at(x, self._z(x))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._log_pdf_at(x, *self._log_terms(x))
 
     def _log_sf(self, x):
-        return -self._z(x)
+        with np.errstate(divide="ignore", over="ignore"):
+            return -self._log_terms(x)[1]
 
-    # ln f and the log kernel share z, so it is computed once
+    # ln f and the log kernel share ly and z, so they are computed once
     def _log_pdf_and_kernel(self, x, first):
-        z = self._z(x)
-        return self._log_pdf_at(x, z), (_log1mexp(-z) if first else -z)
+        ly, z = self._log_terms(x)
+        return self._log_pdf_at(x, ly, z), (_log1mexp(-z) if first else -z)
 
+    # quantiles never see parameter columns, so ``**`` is safe below
     def _quantile(self, u):
         return self.scale * (-np.log1p(-u)) ** (1.0 / self.shape)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_dist import FAMILIES, BaseDistribution, _finite_positive, _plog
+from .base_dist import FAMILIES, BaseDistribution, _finite_positive
 from .errors import DegenerateSampleError, DomainError, SupportError
 from .extend import Kind, _coerce_kind, _kernel_log, sample_values
 
@@ -98,12 +98,17 @@ def _resolve_family(base_family) -> type[BaseDistribution]:
 
 
 def _check_support(base: BaseDistribution, x: np.ndarray) -> None:
-    inside = base.support.contains(x)
+    support = base.support
+    inside = support.contains(x)
     if not np.all(inside):
         idx = int(np.argmin(inside))
+        # an infinite bound is an open end (members are finite)
+        open_ = "[" if math.isfinite(support.lower) else "("
+        close = "]" if math.isfinite(support.upper) else ")"
         raise SupportError(
-            f"sample value x[{idx}]={float(x.flat[idx])!r} lies outside the support of "
-            f"{base.describe()}"
+            f"sample value x[{idx}]={float(x.flat[idx])!r} lies outside the support "
+            f"{open_}{support.lower!r}, {support.upper!r}{close} "
+            f"of the {base.family_id} family"
         )
 
 
@@ -161,7 +166,7 @@ def _evaluate(kind: Kind, base, X, lam):
             else:
                 degenerate = np.zeros(len(total), dtype=bool)
             total = np.where(lam == 1.0, total,
-                             total + (n * _plog(lam) + (lam - 1.0) * w_sum))
+                             total + (n * np.log(lam) + (lam - 1.0) * w_sum))
     # a -inf density term makes ln L -inf whatever the sum says (the sum
     # is nan when +inf terms are present too)
     odd = ~np.isfinite(total)
@@ -458,8 +463,9 @@ def _fit_block(kind: Kind, family, X, bounds, lam, extras=()):
 
 
 def _all_equal_rows(family, X) -> np.ndarray:
-    """Rows whose values are all equal: base parameters are unidentified."""
-    if not family.param_names or X.shape[1] < 2:
+    """Rows whose values are all equal, a lone value included: base
+    parameters are unidentified."""
+    if not family.param_names:
         return np.zeros(len(X), dtype=bool)
     return np.all(X == X[:, :1], axis=1)
 
@@ -467,8 +473,8 @@ def _all_equal_rows(family, X) -> np.ndarray:
 def _degenerate_guard(family, x: np.ndarray) -> None:
     if _all_equal_rows(family, x.reshape(1, -1))[0]:
         raise DegenerateSampleError(
-            "all sample values are equal; base-parameter fitting would chase "
-            "a boundary spike"
+            "all sample values are equal (or there is only one); "
+            "base-parameter fitting would chase a boundary spike"
         )
 
 
@@ -476,17 +482,17 @@ def _fit(kind, base_family, s, lam, theta_bounds) -> FitResult:
     """The fit behind fit_full (lam None: profiled out) and fit_restricted."""
     kind = _coerce_kind(kind)
     family = _resolve_family(base_family)
-    x = sample_values(s)
-    _degenerate_guard(family, x)
+    X = _as_block(s)
+    _degenerate_guard(family, X)
     bounds, member = _checked_box(family, theta_bounds)
     theta_hat, trace, warnings = (), None, ()
     if bounds:
-        X = _as_block(x)
         _check_support(member, X)
         candidates = _fit_rows(kind, family, X, bounds, lam)
         theta_hat = tuple(float(v) for v in _pick_best(candidates)[0][0])
         trace = tuple((tuple(float(v) for v in t[0]), float(val[0])) for t, val in candidates)
         warnings = _boundary_warnings(theta_hat, bounds)
+    x = X[0]
     if lam is None:
         lam = mle_lambda(kind, family, theta_hat, x)
     ll = loglik(kind, family, theta_hat, lam, x)

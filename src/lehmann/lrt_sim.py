@@ -135,8 +135,11 @@ class SimConfig:
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n!r}")
+        # one value identifies no base parameter
+        least = 2 if self.theta0 else 1
+        if self.n < least:
+            raise DomainError(
+                f"n must be >= {least} for {self.base_family}, got {self.n!r}")
         if self.replications < 100:
             raise DomainError(
                 f"replications must be >= 100, got {self.replications!r}"

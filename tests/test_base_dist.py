@@ -21,7 +21,7 @@ from lehmann import (
     register_family,
     sample,
 )
-from lehmann.base_dist import FAMILIES, BaseDistribution, _plog, log1mexp
+from lehmann.base_dist import FAMILIES, BaseDistribution, log1mexp
 
 FAMILY_CASES = [
     (Uniform, ()),
@@ -144,6 +144,11 @@ def test_support_membership():
     assert s.contains(1.0)
     assert list(s.contains(np.array([-0.1, 0.5, 1.1]))) == [False, True, False]
     assert Exponential(1.0).support.contains(0.0)
+    # members are finite reals, on a half-line too
+    for support in (s, Exponential(1.0).support, Weibull(2.0, 1.0).support):
+        assert list(support.contains(np.array([-np.inf, np.inf, np.nan]))) == [False] * 3
+        assert not support.contains(math.inf)
+    assert Weibull(2.0, 1.0).support.contains(1e308)
 
 
 def test_scalar_in_scalar_out():
@@ -170,21 +175,6 @@ def test_weibull_shape_one_is_exponential():
     assert np.allclose(w.cdf(x), e.cdf(x), rtol=1e-13)
 
 
-@pytest.mark.parametrize("family,theta", [
-    (Uniform, [(), ()]),
-    (Exponential, [(1.0,), (0.3,), (7.5,)]),
-    # shapes 1, 2 and 1/2 take special scalar paths (exponential form,
-    # square, square root); their rows must follow them
-    (Weibull, [(1.0, 0.7), (2.0, 1.3), (0.5, 2.0), (1.7, 0.9)]),
-])
-def test_column_kernels_match_scalar_instances(family, theta):
-    x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
-    columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
-    for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
-        rows = [getattr(family(*t), kernel)(xi) for t, xi in zip(theta, x)]
-        assert np.array_equal(getattr(columns, kernel)(x), np.stack(rows)), kernel
-
-
 @dataclass(frozen=True)
 class _Rayleigh(BaseDistribution):
     """F(x) = 1 - exp(-x**2 / (2 sigma**2)) on [0, inf). Test-only: it
@@ -202,7 +192,7 @@ class _Rayleigh(BaseDistribution):
     def _log_pdf(self, x):
         s = self.sigma
         with np.errstate(divide="ignore", invalid="ignore"):
-            body = np.log(x) - 2.0 * _plog(s) - x * x / (2.0 * s * s)
+            body = np.log(x) - 2.0 * np.log(s) - x * x / (2.0 * s * s)
         return np.where(x >= 0.0, body, -np.inf)
 
     def _log_sf(self, x):
@@ -211,6 +201,51 @@ class _Rayleigh(BaseDistribution):
 
     def _quantile(self, u):
         return self.sigma * np.sqrt(-2.0 * np.log1p(-u))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+def test_weibull_public_methods_emit_no_floating_point_warnings(shape):
+    # ln(0) and an overflowing exp sit inside the log-space kernel
+    d = Weibull(shape, 1.0)
+    x = [-1.0, 0.0, 5e-324, 1.0, 1e308]
+    for method in (d.pdf, d.log_pdf, d.cdf, d.log_cdf, d.log_sf):
+        method(np.array(x))
+        for v in x:
+            method(v)
+
+
+def _weibull_sweep():
+    # shapes 1/2, 1 and 2 are where numpy's scalar and column arithmetic
+    # could part (square root, square, the exponential form), with their
+    # float neighbours; the rest are seeded draws across the box
+    # ((0.1, 40), (0.05, 20)) the pinned fits search
+    shapes = [float(v) for k in (0.5, 1.0, 2.0)
+              for v in (np.nextafter(k, 0.0), k, np.nextafter(k, np.inf))]
+    rng = np.random.default_rng(14)
+    shapes += rng.uniform(0.1, 40.0, size=6).tolist()
+    scales = rng.uniform(0.05, 20.0, size=len(shapes)).tolist()
+    return list(zip(shapes, scales))
+
+
+@pytest.mark.parametrize("family,theta", [
+    (Uniform, [(), ()]),
+    (Exponential, [(1.0,), (0.3,), (7.5,)]),
+    (Weibull, [(1.0, 0.7), (2.0, 1.3), (0.5, 2.0), (1.7, 0.9)]),
+    (Weibull, _weibull_sweep()),
+    (_Rayleigh, [(1.5,), (0.2,), (9.0,)]),
+])
+def test_column_kernels_match_scalar_instances(family, theta):
+    # kernels on (R, 1) parameter columns give each row the bits of its
+    # scalar instance, at 0 and below the support too
+    x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
+    x[:, :2] = 0.0, -1.0
+    columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
+    for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = [getattr(family(*t), kernel)(xi) for t, xi in zip(theta, x)]
+            block = getattr(columns, kernel)(x)
+        assert _same_bits(block, np.stack(rows)), kernel
 
 
 @pytest.fixture()

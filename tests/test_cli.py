@@ -118,10 +118,22 @@ def test_fit_reads_stdin_with_dist_override(runner):
 
 
 def test_fit_exit_one_on_degenerate_sample(runner):
-    text = "# source: lehmann1(base=exponential(rate=1.0),lambda=1.0)\nvalue\n1.5\n1.5\n1.5\n"
+    head = "# source: lehmann1(base=exponential(rate=1.0),lambda=1.0)\nvalue\n"
+    for values in ("1.5\n1.5\n1.5\n", "0.7\n"):
+        res = invoke(runner, ["fit", "-"], input=head + values)
+        assert res.exit_code == 1
+        assert "equal" in res.output
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("base", ["exponential(rate=1.0)", "weibull(shape=2.0,scale=1.0)"])
+def test_fit_exit_two_on_non_finite_value(runner, base, bad):
+    text = f"# source: lehmann1(base={base},lambda=1.0)\nvalue\n0.5\n{bad}\n1.2\n"
     res = invoke(runner, ["fit", "-"], input=text)
-    assert res.exit_code == 1
-    assert "equal" in res.output
+    assert res.exit_code == 2
+    family = base.split("(")[0]
+    assert f"x[1]={float(bad)!r} lies outside the support" in res.output
+    assert f"of the {family} family" in res.output
 
 
 def test_moments_csv_and_json(runner):

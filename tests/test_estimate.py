@@ -234,6 +234,17 @@ def test_fit_requires_bounds_for_parametric_family():
 def test_fit_rejects_all_equal_sample():
     with pytest.raises(DegenerateSampleError):
         fit_full(Kind.FIRST, Exponential, [1.3, 1.3, 1.3], EXP_BOUNDS)
+    # one value identifies no base parameter either; no value is not a sample
+    for family, bounds in ((Exponential, EXP_BOUNDS), (Weibull, WEI_BOUNDS)):
+        with pytest.raises(DegenerateSampleError, match="only one"):
+            fit_full(Kind.FIRST, family, [0.7], bounds)
+        with pytest.raises(DegenerateSampleError, match="only one"):
+            fit_restricted(Kind.SECOND, family, [0.7], 2.0, bounds)
+        with pytest.raises(DomainError, match="at least one value"):
+            fit_full(Kind.FIRST, family, [], bounds)
+    # a parameter-free family fits its exponent to one value
+    fit = fit_full(Kind.FIRST, Uniform, [0.7])
+    assert fit.lambda_hat == pytest.approx(-1.0 / math.log(0.7))
 
 
 def test_fit_result_validates_and_serializes():

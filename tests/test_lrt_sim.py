@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from lehmann import (
+    DegenerateSampleError,
     DomainError,
     Kind,
     ParseError,
@@ -173,6 +174,17 @@ def test_lrt_statistics_uniform_misspec_is_identically_zero():
         assert full >= 0.0
 
 
+def test_lrt_statistics_rejects_one_value_and_no_value():
+    cfg = parse_sim_config(CONFIG_TEXT)
+    with pytest.raises(DegenerateSampleError, match="only one"):
+        lrt_statistics([0.7], cfg)
+    with pytest.raises(DomainError, match="at least one value"):
+        lrt_statistics([], cfg)
+    # the uniform has no base parameter to identify
+    full, misspec = lrt_statistics([0.7], uniform_cfg(n=1))
+    assert full >= misspec == 0.0
+
+
 def test_calibrate_requires_enough_replications():
     with pytest.raises(DomainError):
         calibrate(uniform_cfg(calibration_replications=999))
@@ -194,8 +206,9 @@ def test_too_few_calibration_replications_fail_at_parse_time():
     ("theta_bounds = 0.1:10", "theta_bounds = 0.1:10,0.1:10"),  # wrong dimension
     ("theta_bounds = 0.1:10", "theta_bounds = -1:10"),  # outside the domain
     ("base = exponential(rate=1.0)", "base = uniform()"),  # nothing to bound
+    ("n = 50", "n = 1"),  # one value identifies no base parameter
 ], ids=["grid-nan", "grid-inf", "box-reversed", "box-dimension", "box-domain",
-        "box-on-uniform"])
+        "box-on-uniform", "n-one"])
 def test_bad_config_fails_at_parse_time_with_exit_2(old, new, tmp_path):
     text = CONFIG_TEXT.replace(old, new)
     with pytest.raises(ParseError, match="invalid config"):
