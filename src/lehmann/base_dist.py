@@ -350,7 +350,7 @@ class Weibull(BaseDistribution):
         ones = np.equal(k, 1.0)
         if ones.any():
             body = np.where(ones, -np.log(s) - x / s, body)
-        return np.where(x >= 0.0, body, -np.inf)
+        return np.where((x >= 0.0) & (x < np.inf), body, -np.inf)  # body is nan at inf
 
     def _log_pdf(self, x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -17,6 +17,9 @@ Conventions:
 - At a support boundary where F(x) = 0 (first kind) or F(x) = 1 (second
   kind) and ``lam < 1``, the density diverges; ``pdf`` returns positive
   infinity there. Such x are boundary points, not interior mass.
+- Sampling and the quadrature node map share one inverse, which hands
+  the smaller of the base fraction and its complement to the base inverse
+  it belongs to, CDF or survival, so both tails keep full precision.
 """
 
 from __future__ import annotations
@@ -116,14 +119,15 @@ class ExtendedDistribution(_Law):
     # log of the powered side; the other side is log1mexp(z).
 
     def _z(self, x):
-        return self.lam * _kernel_log(self.kind, self.base, x)
+        with np.errstate(over="ignore"):  # lam * ln(1 - F) can pass -1.8e308
+            return self.lam * _kernel_log(self.kind, self.base, x)
 
     def _log_pdf(self, x):
         if self.lam == 1.0:
             return self.base._log_pdf(x)
-        # w = -inf with lam < 1 gives +inf: the boundary divergence.
-        # Outside the support lp = -inf must win over that +inf.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # w = -inf with lam < 1 gives +inf: the boundary divergence; outside
+        # the support lp = -inf must win over it. Huge x overflows to -inf.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lp, w = self.base._log_pdf_and_kernel(x, self.kind is Kind.FIRST)
             out = math.log(self.lam) + lp + (self.lam - 1.0) * w
         return np.where(np.isneginf(lp), -np.inf, out)
@@ -154,16 +158,22 @@ class ExtendedDistribution(_Law):
     def _quantile(self, u):
         if self.lam == 1.0:
             return self.base._quantile(u)
-        if self.kind is Kind.FIRST:
-            w = np.clip(np.exp(np.log(u) / self.lam), _OPEN_LO, _OPEN_HI)
-            return self.base._quantile(w)
-        # for the second kind the target survival fraction s can sit far
-        # below one ulp of 1, where 1 - s rounds away; small s inverts
-        # through the survival side instead
-        log_s = np.log1p(-u) / self.lam
-        s = np.maximum(np.exp(log_s), _OPEN_LO)
-        w = np.clip(-np.expm1(log_s), _OPEN_LO, _OPEN_HI)
-        return np.where(log_s < _LN_HALF, self.base._quantile_sf(s), self.base._quantile(w))
+        first = self.kind is Kind.FIRST
+        return self._base_inverse((np.log(u) if first else np.log1p(-u)) / self.lam)
+
+    def _base_inverse(self, log_w):
+        """x with ln F(x) = log_w (first kind) or ln(1 - F(x)) = log_w (second).
+
+        Of w = exp(log_w) and 1 - w, the one below 1/2 goes to its own base
+        inverse, CDF or survival: forming 1 - w would lose the other tail.
+        Both inverses see every point, clamped into (0, 1) so neither overflows.
+        """
+        first = self.kind is Kind.FIRST
+        q_small = self.base._quantile if first else self.base._quantile_sf
+        q_large = self.base._quantile_sf if first else self.base._quantile
+        w_small = np.minimum(np.maximum(np.exp(log_w), _OPEN_LO), _OPEN_HI)
+        w_large = np.minimum(np.maximum(-np.expm1(log_w), _OPEN_LO), _OPEN_HI)
+        return np.where(log_w < _LN_HALF, q_small(w_small), q_large(w_large))
 
     # defined on this class too, not only inherited: perfbench/tracer.py
     # wraps methods in the __dict__ of the class that defines them
@@ -175,7 +185,8 @@ class ExtendedDistribution(_Law):
         Substituting t = F(x)**lam (first kind) or t = (1-F(x))**lam
         (second kind) turns the moment integral into
         ``integral of Q(t**(1/lam))**k dt`` over (0, 1), with no
-        endpoint weight to go singular for lam < 1. Raises
+        endpoint weight to go singular for lam < 1; Q inverts through the
+        other side where t**(1/lam) >= 1/2, as sampling does. Raises
         :class:`~lehmann.errors.NumericalError` (carrying the best
         estimate) if the quadrature does not converge, which is also how
         a divergent moment surfaces.
@@ -192,24 +203,15 @@ def _node_map(dist: ExtendedDistribution):
     """The quadrature change of variables t -> x for integrals against dist.
 
     Returns the array map taking nodes t in (0, 1) to the points x with
-    t = F(x)**lam (first kind) or t = (1-F(x))**lam (second kind). Each
-    node takes whichever of the base's CDF and survival inverses receives
-    the small fraction, so x stays sharp near both support ends. The
-    lookups happen once here, not at every call.
+    t = F(x)**lam (first kind) or t = (1-F(x))**lam (second kind), through
+    the law's own inverse, so x stays sharp near both support ends.
     """
     inv = 1.0 / dist.lam
-    first = dist.kind is Kind.FIRST
-    q_small = dist.base._quantile if first else dist.base._quantile_sf
-    q_large = dist.base._quantile_sf if first else dist.base._quantile
 
     def x_at(t: np.ndarray) -> np.ndarray:
         # extreme refinement can round a node onto an endpoint
-        log_w = np.log(np.minimum(np.maximum(t, _OPEN_LO), _OPEN_HI)) * inv
-        # both inverses see every node (clamped into (0, 1), so neither
-        # overflows); each node keeps the one its fraction belongs to
-        w_small = np.minimum(np.maximum(np.exp(log_w), _OPEN_LO), _OPEN_HI)
-        w_large = np.minimum(np.maximum(-np.expm1(log_w), _OPEN_LO), _OPEN_HI)
-        return np.where(log_w < _LN_HALF, q_small(w_small), q_large(w_large))
+        t = np.minimum(np.maximum(t, _OPEN_LO), _OPEN_HI)
+        return dist._base_inverse(np.log(t) * inv)
 
     return x_at
 

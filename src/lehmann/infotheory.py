@@ -107,9 +107,10 @@ def kl_numeric(p, q) -> KlResult:
     Change of variables through the p-side CDF: with t the quadrature
     variable, x(t) = Q_p(t**(1/lam_p)) (first kind; the second kind uses
     the survival analogue), the integrand is just the log density ratio
-    and every endpoint weight cancels. Requires equal supports; q must
-    be positive wherever p is (violations surface as nonconvergent
-    quadrature).
+    and every endpoint weight cancels. x(t) is p's sampling inverse, which
+    inverts through the other side where t**(1/lam_p) >= 1/2. Requires
+    equal supports; q must be positive wherever p is (violations surface
+    as nonconvergent quadrature).
     """
     p = _as_extended(p)
     q = _as_extended(q)

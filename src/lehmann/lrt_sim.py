@@ -46,11 +46,12 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .base_dist import FAMILIES, BaseDistribution, _finite_positive
+from .base_dist import BaseDistribution, _finite_positive
 from .descriptors import parse_base
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
 from .estimate import (
@@ -150,7 +151,7 @@ class SimConfig:
                 f"stable quantile, got {self.calibration_replications!r}"
             )
 
-    @property
+    @cached_property
     def base(self) -> BaseDistribution:
         return _resolve_family(self.base_family).from_theta(self.theta0)
 
@@ -299,7 +300,7 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray):
     misspec, failed)``: the statistics of the kept rows in row order and
     the mask of failed rows.
     """
-    family = FAMILIES[cfg.base_family]
+    family = type(cfg.base)
     failed = _all_equal_rows(family, X)
     keep = ~failed
     X, ll0 = X[keep], ll0[keep]
@@ -355,7 +356,7 @@ def lrt_statistics(s, cfg: SimConfig) -> tuple[float, float]:
         ll0 = loglik(cfg.kind, cfg.base_family, cfg.theta0, 1.0, x)
         row = _fitted_rows(cfg, x[None, :], np.array([ll0]))[0]
     if row.stats is None:
-        _degenerate_guard(FAMILIES[cfg.base_family], row.values)
+        _degenerate_guard(type(cfg.base), row.values)
         raise DegenerateSampleError(
             "the sample saturates the base CDF at the fitted parameters; "
             "the exponent MLE is undefined"
@@ -369,10 +370,6 @@ def _draw_block(cfg: SimConfig, dist, cell: int, reps) -> np.ndarray:
     for i, rep in enumerate(reps):
         u[i] = open_uniform(substream(cfg.seed, cell, rep), cfg.n)
     return dist.quantile(u)
-
-
-def _null_replication(cfg: SimConfig, cell: int, rep: int) -> np.ndarray:
-    return _draw_block(cfg, cfg.base, cell, [rep])[0]
 
 
 def _cell_statistics(cfg: SimConfig, dist, cell: int, replications: int):

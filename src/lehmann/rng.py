@@ -32,9 +32,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 def open_uniform(gen: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` uniforms strictly inside (0, 1).
 
-    ``Generator.random`` yields values in [0, 1); an exact zero (mass
-    2**-53) is nudged to the smallest positive double so quantile
-    functions never see an endpoint.
+    ``Generator.random`` yields multiples of 2**-53 in [0, 1); an exact
+    zero (mass 2**-53) is raised to the smallest positive double, 5e-324,
+    so quantile functions never see an endpoint.
     """
-    u = gen.random(n)
-    return np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
+    return np.maximum(gen.random(n), 5e-324)

@@ -141,6 +141,37 @@ def test_quantile_cdf_round_trip(base, lam, kind):
         assert np.max(err) < 1e-9
 
 
+@pytest.mark.parametrize("base", [Exponential(1.0), Weibull(2.0, 1.0), Weibull(0.5, 3.0)],
+                         ids=lambda d: d.describe())
+@pytest.mark.parametrize("lam", [0.5, 3.0, 7.5])
+def test_first_kind_upper_tail_quantile_round_trip(base, lam):
+    # the base fraction u**(1/lam) sits within 1e-15 of 1 here, so the
+    # first kind must invert through the survival side: 1 - u**(1/lam)
+    # would keep only the leading digits of the tail
+    g = extend(base, lam, Kind.FIRST)
+    u = 1.0 - 10.0 ** np.arange(-15, 0)
+    np.testing.assert_allclose(g.log_sf(g.quantile(u)), np.log1p(-u), rtol=1e-13, atol=0.0)
+
+
+EDGE_X = [-np.inf, -1.0, 0.0, 5e-324, 1.0, 1e308, np.inf]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("base", [Uniform(), Exponential(1.0), Weibull(0.5, 3.0),
+                                  Weibull(1.0, 1.0), Weibull(2.0, 1.0)],
+                         ids=lambda d: d.describe())
+def test_public_methods_are_warning_free_at_the_ends(base):
+    laws = [base] + [extend(base, lam, kind) for lam in (0.5, 2.0) for kind in Kind]
+    for g in laws:
+        for method in (g.pdf, g.log_pdf, g.cdf, g.log_cdf, g.log_sf):
+            method(np.array(EDGE_X))
+            for v in EDGE_X:
+                method(v)
+        assert g.pdf(-np.inf) == 0.0 and g.pdf(np.inf) == 0.0, g.describe()
+        assert g.log_pdf(-np.inf) == -np.inf and g.log_pdf(np.inf) == -np.inf, g.describe()
+        assert g.cdf(-np.inf) == 0.0 and g.cdf(np.inf) == 1.0, g.describe()
+
+
 @pytest.mark.parametrize("base", BASES)
 @pytest.mark.parametrize("lam", LAMBDAS)
 @pytest.mark.parametrize("kind", [Kind.FIRST, Kind.SECOND])

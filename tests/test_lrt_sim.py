@@ -24,7 +24,7 @@ from lehmann import (
     run_power_study,
 )
 from lehmann.cli import main
-from lehmann.lrt_sim import _null_replication, canonical_config_text
+from lehmann.lrt_sim import _draw_block, canonical_config_text
 
 CONFIG_TEXT = """\
 # two-cell power study
@@ -160,7 +160,7 @@ def test_default_theta_bounds_bracket_theta0():
 def test_lrt_statistics_nesting_is_exact():
     cfg = parse_sim_config(CONFIG_TEXT)
     for rep in range(25):
-        x = _null_replication(cfg, 3, rep)
+        x = _draw_block(cfg, cfg.base, 3, [rep])[0]
         full, misspec = lrt_statistics(x, cfg)
         assert full >= misspec >= 0.0
 
@@ -168,7 +168,7 @@ def test_lrt_statistics_nesting_is_exact():
 def test_lrt_statistics_uniform_misspec_is_identically_zero():
     cfg = uniform_cfg()
     for rep in range(25):
-        x = _null_replication(cfg, 1, rep)
+        x = _draw_block(cfg, cfg.base, 1, [rep])[0]
         full, misspec = lrt_statistics(x, cfg)
         assert misspec == 0.0
         assert full >= 0.0
@@ -251,7 +251,7 @@ def test_calibrate_is_deterministic_and_monotone_in_alpha():
 def test_calibrate_median_at_half_alpha():
     cfg = uniform_cfg(alpha=0.5)
     stats = np.array(
-        [lrt_statistics(_null_replication(cfg, 0, rep), cfg)[0]
+        [lrt_statistics(_draw_block(cfg, cfg.base, 0, [rep])[0], cfg)[0]
          for rep in range(cfg.calibration_replications)]
     )
     want = float(np.quantile(stats, 0.5, method="higher"))

@@ -40,6 +40,15 @@ def test_open_uniform_strictly_inside_unit_interval():
     assert u.max() < 1.0
 
 
+def test_open_uniform_raises_only_an_exact_zero():
+    class Stub:
+        def random(self, n):
+            return np.array([0.0, 2.0**-53, 0.5])[:n]
+
+    u = open_uniform(Stub(), 3)
+    assert u.tolist() == [np.nextafter(0.0, 1.0), 2.0**-53, 0.5]
+
+
 def test_integrate_unit_smooth():
     value, err = integrate_unit(lambda t: t * t)
     assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
