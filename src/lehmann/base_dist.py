@@ -298,7 +298,9 @@ class Exponential(BaseDistribution):
 
     # the direct product is more accurate than exp(_log_pdf)
     def _pdf(self, x):
-        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
+        # x < 0 maps to the lower endpoint, so the masked branch cannot overflow
+        density = self.rate * np.exp(-self.rate * np.maximum(x, 0.0))
+        return np.where(x >= 0.0, density, 0.0)
 
     def _log_pdf(self, x):
         return np.where(x >= 0.0, np.log(self.rate) - self.rate * x, -np.inf)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,15 +71,9 @@ class FitResult:
             raise DomainError(f"lambda_hat must be > 0, got {self.lambda_hat!r}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambda_hat": self.lambda_hat,
-                "theta_hat": list(self.theta_hat),
-                "loglik": self.loglik,
-                "n": self.n,
-                "warnings": list(self.warnings),
-            }
-        )
+        # the multistart trace is a search diagnostic, not part of the result
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)
+                           if f.name != "profile_trace"})
 
 
 def _resolve_family(base_family) -> type[BaseDistribution]:
@@ -347,7 +341,11 @@ def _coordinate_max(objective, start, bounds):
             theta[rows, i] = lo + si * side
             value[rows] = vi
         after = value[rows]
-        rows = rows[after > before + _SWEEP_GAIN * (1.0 + np.abs(after))]
+        # a row whose value is not finite stops; its slack stays finite,
+        # so -inf + inf is never formed
+        finite = np.isfinite(after)
+        slack = _SWEEP_GAIN * (1.0 + np.abs(np.where(finite, after, 0.0)))
+        rows = rows[finite & (after > before + slack)]
         if len(bounds) == 1 or rows.size == 0:
             break
     return theta, value

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +68,9 @@ class Kind(enum.Enum):
 def _coerce_kind(kind) -> Kind:
     if isinstance(kind, Kind):
         return kind
-    if kind in (1, 2):
+    # a bool is an int and 1.0 == 1, but neither names a kind
+    integral = isinstance(kind, numbers.Integral) and not isinstance(kind, bool)
+    if integral and kind in (1, 2):
         return Kind(kind)
     raise DomainError(f"kind must be Kind.FIRST, Kind.SECOND, 1 or 2, got {kind!r}")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,14 +54,7 @@ class KlResult:
             raise DomainError("closed_form results carry a zero error_estimate")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "error_estimate": self.error_estimate,
-                "method": self.method,
-                "meta": self.meta,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _as_extended(d) -> ExtendedDistribution:
@@ -84,21 +77,18 @@ def power_loss_integrand_check(lam: float) -> float:
     Evaluates ln(lam) + lam*(lam-1) * I with
     I = integral over (0,1) of u**(lam-1) * ln(u) du computed by
     quadrature, an independent numerical path to the value of
-    :func:`power_loss_closed`. For lam < 1 the substitution t = u**lam
-    removes the endpoint singularity first.
+    :func:`power_loss_closed`. For lam < 1 the integrand is singular at
+    u = 0; the quadrature's extrapolation handles it, as it does the
+    endpoint singularities inside :func:`kl_numeric`.
     """
     lam = _finite_positive("lambda", lam)
-    if lam >= 1.0:
 
-        def integrand(u: np.ndarray) -> np.ndarray:
-            u = np.clip(u, _OPEN_LO, _OPEN_HI)
-            return u ** (lam - 1.0) * np.log(u)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        u = np.clip(u, _OPEN_LO, _OPEN_HI)
+        return u ** (lam - 1.0) * np.log(u)
 
-        value, _err = integrate_unit(integrand)
-        return math.log(lam) + lam * (lam - 1.0) * value
-    # t = u**lam turns the integral into (1/lam**2) * integral of ln(t)
-    value, _err = integrate_unit(lambda t: np.log(np.clip(t, _OPEN_LO, _OPEN_HI)))
-    return math.log(lam) + ((lam - 1.0) / lam) * value
+    value, _err = integrate_unit(integrand)
+    return math.log(lam) + lam * (lam - 1.0) * value
 
 
 def kl_numeric(p, q) -> KlResult:

@@ -45,7 +45,7 @@ import logging
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -125,10 +125,9 @@ class SimConfig:
         _checked_box(type(self.base), self.effective_theta_bounds())
         for name in ("n", "replications", "seed", "calibration_replications"):
             value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from None
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not self.lambda_grid:
             raise DomainError("lambda_grid must be nonempty")
         if not isinstance(self.alpha, numbers.Real) or isinstance(self.alpha, bool):
@@ -458,19 +457,9 @@ class CellResult:
     failures: int
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "power_full": self.power_full,
-            "power_misspec": self.power_misspec,
-            "se_full": self.se_full,
-            "se_misspec": self.se_misspec,
-            "mean_log_ratio": self.mean_log_ratio,
-            "se_mean_log_ratio": self.se_mean_log_ratio,
-            "delta_closed": self.delta_closed,
-            "crit_full": self.crit_full,
-            "crit_misspec": self.crit_misspec,
-            "failures": self.failures,
-        }
+        """The fields in declaration order; ``lam`` is keyed ``lambda``."""
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -549,30 +538,30 @@ def run_power_study(cfg: SimConfig) -> LrtReport:
         kept = fulls.size
         if kept == 0:
             warnings.append(f"cell lambda={lam!r}: all replications failed")
-            cells.append(CellResult(lam, math.nan, math.nan, math.nan, math.nan,
-                                    math.nan, math.nan, power_loss_closed(lam),
-                                    crit_full, crit_misspec, failures))
-            continue
-        if failures > 0.01 * cfg.replications:
-            warnings.append(
-                f"cell lambda={lam!r}: {failures} of {cfg.replications} "
-                "replications failed to fit (over 1%)"
+            p_f = p_m = se_f = se_m = mlr = se_mlr = math.nan
+        else:
+            if failures > 0.01 * cfg.replications:
+                warnings.append(
+                    f"cell lambda={lam!r}: {failures} of {cfg.replications} "
+                    "replications failed to fit (over 1%)"
+                )
+            p_f = int(np.count_nonzero(fulls > crit_full)) / kept
+            p_m = int(np.count_nonzero(missps > crit_misspec)) / kept
+            se_f = math.sqrt(p_f * (1.0 - p_f) / kept)
+            se_m = math.sqrt(p_m * (1.0 - p_m) / kept)
+            ratios = (fulls - missps) / (2.0 * cfg.n)
+            mlr = float(np.mean(ratios))
+            se_mlr = (
+                float(np.std(ratios, ddof=1)) / math.sqrt(kept)
+                if kept >= 2 else math.inf
             )
-        p_f = int(np.count_nonzero(fulls > crit_full)) / kept
-        p_m = int(np.count_nonzero(missps > crit_misspec)) / kept
-        ratios = (fulls - missps) / (2.0 * cfg.n)
-        mlr = float(np.mean(ratios))
-        se_mlr = (
-            float(np.std(ratios, ddof=1)) / math.sqrt(kept)
-            if kept >= 2 else math.inf
-        )
         cells.append(
             CellResult(
                 lam=lam,
                 power_full=p_f,
                 power_misspec=p_m,
-                se_full=math.sqrt(p_f * (1.0 - p_f) / kept),
-                se_misspec=math.sqrt(p_m * (1.0 - p_m) / kept),
+                se_full=se_f,
+                se_misspec=se_m,
                 mean_log_ratio=mlr,
                 se_mean_log_ratio=se_mlr,
                 delta_closed=power_loss_closed(lam),

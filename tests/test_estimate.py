@@ -12,6 +12,7 @@ from lehmann import (
     Exponential,
     FitResult,
     Kind,
+    SimConfig,
     SupportError,
     Uniform,
     Weibull,
@@ -19,6 +20,7 @@ from lehmann import (
     fit_full,
     fit_restricted,
     loglik,
+    lrt_statistics,
     mle_lambda,
     sample,
 )
@@ -250,7 +252,9 @@ def test_fit_rejects_all_equal_sample():
 def test_fit_result_validates_and_serializes():
     with pytest.raises(DomainError):
         FitResult(lambda_hat=-1.0, theta_hat=(), loglik=0.0, n=3)
-    fit = FitResult(2.0, (1.5,), -12.5, 40, warnings=("w",))
+    # the profile trace is left out of the serialization
+    fit = FitResult(2.0, (1.5,), -12.5, 40, profile_trace=(((1.5,), -12.5),),
+                    warnings=("w",))
     blob = json.loads(fit.to_json())
     assert blob == {
         "lambda_hat": 2.0,
@@ -259,6 +263,23 @@ def test_fit_result_validates_and_serializes():
         "n": 40,
         "warnings": ["w"],
     }
+
+
+@pytest.mark.filterwarnings("error")
+def test_fits_through_the_support_end_stop_without_warnings():
+    # ln F(0) = -inf under the first kind, so every search value is -inf
+    # and the sweep stop rule must not form -inf + inf
+    x = [0.0, 1.0, 2.0]
+    with pytest.raises(DegenerateSampleError):
+        fit_full(Kind.FIRST, "exponential", x, theta_bounds=EXP_BOUNDS)
+    fit = fit_restricted(Kind.FIRST, "weibull", x, 2.0,
+                         theta_bounds=((0.1, 20.0), (0.05, 20.0)))
+    assert fit.loglik == -math.inf
+    cfg = SimConfig(kind=Kind.FIRST, base_family="exponential", theta0=(1.0,),
+                    lambda_grid=(2.0,), n=3, replications=100, alpha=0.05, seed=1,
+                    calibration_replications=1000)
+    with pytest.raises(DegenerateSampleError):
+        lrt_statistics(x, cfg)
 
 
 def test_fit_is_deterministic():

@@ -113,6 +113,12 @@ def test_lambda_validation():
         extend(Uniform(), math.nan)
     with pytest.raises(DomainError):
         ExtendedDistribution(Uniform(), 2.0, kind=3)
+    # True == 1 and 1.0 == 1, but neither names a kind
+    with pytest.raises(DomainError):
+        ExtendedDistribution(Uniform(), 2.0, kind=True)
+    with pytest.raises(DomainError):
+        ExtendedDistribution(Uniform(), 2.0, kind=1.0)
+    assert ExtendedDistribution(Uniform(), 2.0, kind=np.int64(2)).kind is Kind.SECOND
 
 
 def test_huge_lambda_flagged_in_log(caplog):
@@ -153,7 +159,7 @@ def test_first_kind_upper_tail_quantile_round_trip(base, lam):
     np.testing.assert_allclose(g.log_sf(g.quantile(u)), np.log1p(-u), rtol=1e-13, atol=0.0)
 
 
-EDGE_X = [-np.inf, -1.0, 0.0, 5e-324, 1.0, 1e308, np.inf]
+EDGE_X = [-np.inf, -1e308, -1.0, 0.0, 5e-324, 1.0, 1e308, np.inf]
 
 
 @pytest.mark.filterwarnings("error")

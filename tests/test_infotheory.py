@@ -23,6 +23,7 @@ from lehmann import (
     power_loss_integrand_check,
     sample,
 )
+from lehmann import infotheory
 
 BASES = [Uniform(), Exponential(1.0), Weibull(2.0, 1.0)]
 
@@ -116,6 +117,23 @@ def test_integrand_route_matches_closed_form(lam):
     assert power_loss_integrand_check(lam) == pytest.approx(
         power_loss_closed(lam), abs=1e-10
     )
+
+
+def test_integrand_route_integrates_one_integrand_for_every_lambda(monkeypatch):
+    # the integrand is u**(lam-1) * ln(u) whatever lam is, so it tells
+    # exponents below 1 apart
+    at_quarter = []
+    real = infotheory.integrate_unit
+
+    def record(f):
+        at_quarter.append(float(f(np.array([0.25]))[0]))
+        return real(f)
+
+    monkeypatch.setattr(infotheory, "integrate_unit", record)
+    for lam in (0.3, 0.6):
+        power_loss_integrand_check(lam)
+    want = [0.25 ** (lam - 1.0) * math.log(0.25) for lam in (0.3, 0.6)]
+    assert at_quarter == pytest.approx(want, rel=1e-15)
 
 
 def test_mean_log_ratio_identical_pair():

@@ -1,5 +1,6 @@
 """Config parsing, calibration, and the Monte Carlo power study."""
 
+import dataclasses
 import json
 import math
 import os
@@ -23,8 +24,9 @@ from lehmann import (
     power_loss_closed,
     run_power_study,
 )
+from lehmann import lrt_sim
 from lehmann.cli import main
-from lehmann.lrt_sim import _draw_block, canonical_config_text
+from lehmann.lrt_sim import CellResult, _draw_block, canonical_config_text
 
 CONFIG_TEXT = """\
 # two-cell power study
@@ -76,7 +78,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 50.5), ("replications", 200.0), ("seed", 7.5), ("calibration_replications", 1000.5)])
+    ("n", 50.5), ("replications", 200.0), ("seed", 7.5), ("calibration_replications", 1000.5),
+    ("seed", True), ("n", True)])
 def test_config_rejects_non_integers(field, value):
     # a float count used to construct and then fail inside the first block;
     # a float seed was truncated by the generator but hashed as given
@@ -320,6 +323,51 @@ def test_report_csv_and_json_round_trip():
     assert blob["config"]["base"] == "uniform()"
     assert blob["cells"][1]["lambda"] == 2.0
     assert blob["cells"][1]["power_full"] == report.cells[1].power_full
+
+
+def test_report_columns_are_the_cell_fields():
+    report = run_power_study(uniform_cfg(replications=150))
+    names = [f.name for f in dataclasses.fields(CellResult)]
+    assert names[0] == "lam"
+    columns = ["lambda"] + names[1:]
+    header = next(l for l in report.to_csv().splitlines() if not l.startswith("#"))
+    assert header.split(",") == columns
+    for cell in json.loads(report.to_json())["cells"]:
+        assert list(cell) == columns
+
+
+def test_all_failed_cell_reports_nan_statistics(monkeypatch):
+    # no real sample fails every replication; fail the second grid cell
+    cfg = uniform_cfg(replications=150)
+    real = lrt_sim._cell_statistics
+
+    def fail_cell_two(cfg, dist, cell, replications):
+        if cell == 2:
+            return np.array([]), np.array([]), replications
+        return real(cfg, dist, cell, replications)
+
+    monkeypatch.setattr(lrt_sim, "_cell_statistics", fail_cell_two)
+    report = run_power_study(cfg)
+    ok, failed = report.cells
+    assert ok.failures == 0 and math.isfinite(ok.power_full)
+    assert failed.lam == 2.0 and failed.failures == 150
+    for name in ("power_full", "power_misspec", "se_full", "se_misspec",
+                 "mean_log_ratio", "se_mean_log_ratio"):
+        assert math.isnan(getattr(failed, name)), name
+    assert failed.delta_closed == power_loss_closed(2.0)
+    assert (failed.crit_full, failed.crit_misspec) == (report.crit_full, report.crit_misspec)
+    assert report.warnings == ("cell lambda=2.0: all replications failed",)
+
+    csv_lines = report.to_csv().splitlines()
+    assert "# warning: cell lambda=2.0: all replications failed" in csv_lines
+    assert csv_lines[-1] == ",".join(map(repr, failed.as_dict().values()))
+    assert csv_lines[-1].startswith("2.0,nan,nan,")
+    assert csv_lines[-1].endswith(",150")
+    blob = json.loads(report.to_json())
+    assert blob["warnings"] == list(report.warnings)
+    cell = blob["cells"][1]
+    assert cell["failures"] == 150 and math.isnan(cell["power_full"])
+    assert cell["crit_full"] == report.crit_full
 
 
 def test_kl_bridge_tracks_closed_form():
