@@ -22,17 +22,25 @@ only. Parameters are validated at construction, never at evaluation, and
 instances are immutable.
 
 One fused kernel is optional: ``_log_pdf_and_kernel(x, first)`` returns
-ln f with ln F (``first``) or ln(1 - F), the pair the likelihood engine
-and the powered density need. The default calls the two kernels. A
-family overrides it when both share an intermediate worth computing once,
-as Weibull's ``ln(x/scale)`` and ``z = (x/scale)**shape``; an override
-returns exactly the bits of the separate kernels, and its caller
-silences floating-point warnings.
+ln f with ln F (``first``) or ln(1 - F), the pair the powered density
+needs. The default calls the two kernels. A family overrides it when both
+share an intermediate worth computing once, as Weibull's ``ln(x/scale)``
+and ``z = (x/scale)**shape``; an override returns exactly the bits of the
+separate kernels, and its caller silences floating-point warnings.
 
-The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the fused
-kernel) are the kernels the likelihood engine uses. They must also work
-on the unvalidated instance :meth:`BaseDistribution._at_columns` builds,
-whose parameters are ``(R, 1)`` columns broadcasting against an
+The likelihood engine reads a second optional kernel,
+``_log_hazard_and_kernel(x, first)``: ln f - w with w = ln F (``first``)
+or ln(1 - F), and w itself, with the bits of the separate kernel. The
+default subtracts the fused pair. A family overrides it with a closed
+form where ln f and w share a large term that would cancel, as the
+second-kind Weibull's ``z``. It is called only on samples inside the
+support, and its caller silences floating-point warnings.
+
+The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the two
+optional kernels) are the kernels the likelihood engine uses. They must
+also work on the unvalidated instance
+:meth:`BaseDistribution._at_columns` builds, whose parameters are
+``(R, 1)`` columns broadcasting against an
 ``(R, n)`` sample block or one ``(1, n)`` sample, return one row per
 parameter row, and give each row the bits a scalar instance would.
 Elementwise numpy does that, with one exception: numpy computes ``y ** k``
@@ -222,6 +230,11 @@ class BaseDistribution(_Law, ABC):
         # (ln f, ln F) if first else (ln f, ln(1 - F)); see the module docstring
         return self._log_pdf(x), (self._log_cdf(x) if first else self._log_sf(x))
 
+    def _log_hazard_and_kernel(self, x, first):
+        # (ln f - w, w) with w = ln F if first else ln(1 - F); see the module docstring
+        lp, w = self._log_pdf_and_kernel(x, first)
+        return lp - w, w
+
     def _quantile_sf(self, s):
         # inverse survival kernel on (0, 1]; this default loses the upper
         # tail once s drops below one ulp of 1, families override where
@@ -309,6 +322,14 @@ class Exponential(BaseDistribution):
         # x < 0 maps to the lower endpoint
         return -self.rate * np.maximum(x, 0.0)
 
+    # the hazard is the rate: ln f - ln(1 - F) = ln(rate) on the support
+    def _log_hazard_and_kernel(self, x, first):
+        log_rate, t = np.log(self.rate), self.rate * x
+        if first:
+            w = _log1mexp(-t)
+            return log_rate - t - w, w
+        return np.broadcast_to(log_rate, t.shape), -t
+
     def _quantile(self, u):
         return -np.log1p(-u) / self.rate
 
@@ -366,6 +387,20 @@ class Weibull(BaseDistribution):
     def _log_pdf_and_kernel(self, x, first):
         ly, z = self._log_terms(x)
         return self._log_pdf_at(x, ly, z), (_log1mexp(-z) if first else -z)
+
+    # ln f - ln(1 - F) = ln(k) - ln(s) + (k - 1) ln(x/s): z cancels, so a
+    # large shape loses no digits to ln f + z
+    def _log_hazard_and_kernel(self, x, first):
+        ly, z = self._log_terms(x)
+        if first:
+            w = _log1mexp(-z)
+            return self._log_pdf_at(x, ly, z) - w, w
+        k, s = self.shape, self.scale
+        body = np.log(k) - np.log(s) + (k - 1.0) * ly
+        ones = np.equal(k, 1.0)  # 0 * ln(0) = nan at x = 0, as in _log_pdf_at
+        if ones.any():
+            body = np.where(ones, -np.log(s), body)
+        return body, -z
 
     # quantiles never see parameter columns, so ``**`` is safe below
     def _quantile(self, u):

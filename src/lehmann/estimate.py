@@ -4,21 +4,24 @@ For the powered laws the exponent has a closed-form MLE at fixed base
 parameters: with S = sum of log F(x_j) (first kind) or log(1 - F(x_j))
 (second kind), the maximizer is ``lambda_hat = -n / S``. Fitting the
 remaining base parameters therefore reduces to maximizing the profile
-log-likelihood ``ll(lambda_hat(theta), theta)`` over a bounded box,
-which is done by Brent line searches (golden-section and parabolic
-steps) with coordinate cycling and a fixed low-discrepancy multistart
-set. No gradients are needed.
+log-likelihood ``ll(lambda_hat(theta), theta)`` over a bounded box.
+One parameter is searched by a bounded Brent line search (golden-section
+and parabolic steps) over its side of the box. Two or more are searched
+by damped Newton ascent in box-normalized log coordinates from a fixed
+low-discrepancy multistart set; its gradient and Hessian come from a
+central-difference stencil of the profile, so no analytic derivatives
+are needed.
 
 Every fit runs on one block engine. An ``(R, n)`` block of samples is
 validated once (family, bounds box, support). A row is a (sample,
-multistart) pair. Each coordinate sweep binds the rows still sweeping to
-their samples once; within the sweep every objective evaluation is a
-single call of the family's broadcasting log kernels for all of those
-rows, and a Brent search steps them in lockstep, a row whose bracket
-has closed keeping its state. The public fits are the R = 1 case, and
-:mod:`lehmann.lrt_sim` fits all replications of a power-study cell at
-once. Each row does the arithmetic it would do alone, so a row
-of a block gives the same bits as its R = 1 fit.
+multistart) pair. Every objective evaluation is a single call of the
+family's broadcasting log kernels for all the rows it is given (chunked
+to cap the working set), and the searches step their rows in lockstep:
+a row that has converged keeps its state and is not evaluated again. The
+public fits are the R = 1 case, and :mod:`lehmann.lrt_sim` fits all
+replications of a power-study cell at once. Each row does the arithmetic
+it would do alone, so a row of a block gives the same bits as its R = 1
+fit.
 
 ``base_family`` arguments accept a registered family id, the family
 class, or an instance (its class is used).
@@ -44,11 +47,21 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 # the farthest from a [0, 1] edge at which a line search can close there
 _EDGE_TOL = 2.0 * (_SQRT_EPS + _GOLDEN_TOL / 3.0)
-_MAX_SWEEPS = 10
-# a row stops sweeping once a sweep raises its value by at most this
-# much relative to 1 + |value|
-_SWEEP_GAIN = 1e-12
 _N_MULTISTARTS = 5
+# the Newton search: stencil spacing on the unit cube; a row stops once
+# its Newton decrement g' A^-1 g is at most _NEWTON_TOL (after trying that
+# last step), or once a step gains at most _NEWTON_GAIN * (1 + |value|)
+_STENCIL_H = 1e-5
+_NEWTON_TOL = 1e-11
+_NEWTON_GAIN = 1e-13
+_NEWTON_MAX_ITER = 100
+# the Levenberg shift's margin above -(smallest eigenvalue of -H), relative
+# to 1 + the largest diagonal entry
+_LEVENBERG = 1e-3
+_MAX_HALVINGS = 30
+# the most sample values one objective call evaluates: the five starts of
+# a power-study block (lrt_sim._BLOCK_VALUES = 2**14 values)
+_EVAL_VALUES = _N_MULTISTARTS << 14
 _TIE_TOL = 1e-10
 _HALTON_BASES = (2, 3, 5)
 # a log-kernel sum smaller than this in magnitude saturates the exponent MLE
@@ -136,37 +149,48 @@ def _saturated(w_sum):
 
 
 def _evaluate(kind: Kind, base, X, lam):
-    """Raw ln L per row: n ln(lam) + sum ln f + (lam - 1) sum w.
+    """Raw ln L per row: sum (ln f - w) + n ln(lam) + lam sum w.
 
-    ``lam`` is the fixed exponent, or None to profile it out by its
-    closed form -n / sum w. Returns ``(value, degenerate)``; degenerate
-    rows have no exponent MLE at their parameters. A row at lam == 1
-    keeps the bare density sum, as the scalar formula does. ``X`` may be
-    a single (1, n) sample shared by every parameter row of ``base``.
+    w is ln F (first kind) or ln(1 - F) (second kind). ``lam`` is the
+    fixed exponent, or None to profile it out by its closed form
+    -n / sum w. Returns ``(value, degenerate)``; degenerate rows have no
+    exponent MLE at their parameters. A row at lam == 1 keeps the bare
+    density sum. ``X`` may be a single (1, n) sample shared by every
+    parameter row of ``base``.
     """
     n = X.shape[1]
     if lam is not None and lam == 1.0:
-        lp = base._log_pdf(X)
-        total = lp.sum(axis=1)
+        terms = base._log_pdf(X)
+        total = terms.sum(axis=1)
         degenerate = np.zeros(len(total), dtype=bool)
     else:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lp, w = base._log_pdf_and_kernel(X, kind is Kind.FIRST)
-            total = lp.sum(axis=1)
+            terms, w = base._log_hazard_and_kernel(X, kind is Kind.FIRST)
             w_sum = w.sum(axis=1)
             if lam is None:
                 degenerate = _saturated(w_sum)
                 lam = np.where(degenerate, 1.0, -n / w_sum)
             else:
-                degenerate = np.zeros(len(total), dtype=bool)
-            total = np.where(lam == 1.0, total,
-                             total + (n * np.log(lam) + (lam - 1.0) * w_sum))
-    # a -inf density term makes ln L -inf whatever the sum says (the sum
-    # is nan when +inf terms are present too)
+                degenerate = np.zeros(len(w_sum), dtype=bool)
+            total = terms.sum(axis=1) + (n * np.log(lam) + lam * w_sum)
+            # where some w is -inf (F is 0 or 1 at a sample value), ln f - w
+            # is +inf and lam sum w is -inf: the plain sum decides
+            ends = np.isneginf(w_sum) & ~degenerate
+            if ends.any():
+                plain = base._log_pdf(X).sum(axis=1) + (n * np.log(lam) + (lam - 1.0) * w_sum)
+                total = np.where(ends, plain, total)
+        # a profiled exponent of exactly 1 gets the fixed-exponent value
+        ones = np.equal(lam, 1.0) & ~degenerate
+        if ones.any():
+            total = np.where(ones, _evaluate(kind, base, X, 1.0)[0], total)
+    # a vanishing density (ln f = -inf, so a term is -inf, or nan where w
+    # is -inf too) makes ln L -inf whatever the sum says (the sum is nan
+    # when +inf terms are present too)
     odd = ~np.isfinite(total)
     if odd.any():
         odd = np.flatnonzero(odd)
-        total[odd[np.isneginf(lp[odd]).any(axis=1)]] = -np.inf
+        vanishing = np.isneginf(terms[odd]) | np.isnan(terms[odd])
+        total[odd[vanishing.any(axis=1)]] = -np.inf
     return total, degenerate
 
 
@@ -214,23 +238,33 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
-def _multistarts(bounds) -> list[tuple[float, ...]]:
-    dim = len(bounds)
-    if dim == 1:
-        # a line search over the full bracket does not depend on the
-        # start, so one start is exactly equivalent to five
-        count = 1
-    else:
-        count = _N_MULTISTARTS
-    points = []
-    for i in range(1, count + 1):
-        points.append(
-            tuple(
-                lo + _halton(i, _HALTON_BASES[j]) * (hi - lo)
-                for j, (lo, hi) in enumerate(bounds)
-            )
-        )
-    return points
+def _unit_starts(dim: int) -> np.ndarray:
+    """The multistart points on the unit cube: its center, then Halton points."""
+    return np.array([[0.5] * dim] + [
+        [_halton(i, _HALTON_BASES[j]) for j in range(dim)]
+        for i in range(1, _N_MULTISTARTS)
+    ])
+
+
+def _unit_map(bounds):
+    """theta as a function of points u of the unit cube, one box side per column.
+
+    A side with lo > 0 is mapped log-linearly, ln theta = ln lo + u (ln hi
+    - ln lo), so u = 1/2 is sqrt(lo * hi); any other side linearly. The
+    result is clipped into the open box, where the parameters are valid.
+    """
+    lo, hi = np.array(bounds, dtype=float).T
+    log = lo > 0.0
+    at = np.where(log, np.log(np.where(log, lo, 1.0)), lo)
+    span = np.where(log, np.log(np.where(log, hi, 1.0)), hi) - at
+    inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+
+    def to_theta(u):
+        theta = at + u * span
+        theta[:, log] = np.exp(theta[:, log])
+        return np.minimum(np.maximum(theta, inner_lo), inner_hi)
+
+    return to_theta
 
 
 def _golden_max(h, lo, hi):
@@ -308,47 +342,151 @@ def _golden_max(h, lo, hi):
     return state[2], -state[3]
 
 
-def _coordinate_max(objective, start, bounds):
-    """Cycle Brent line searches over the coordinates of theta.
+def _stencil(dim: int) -> np.ndarray:
+    """Offsets of the central-difference stencil: the center, +-h e_i for
+    every i, then the four corners (+-h e_i, +-h e_j) for every i < j."""
+    eye = np.eye(dim)
+    points = [np.zeros(dim)]
+    for i in range(dim):
+        points += [eye[i], -eye[i]]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            points += [eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]]
+    return _STENCIL_H * np.array(points)
 
-    ``start`` holds one start point per row. Each sweep binds its active
-    rows once: ``objective(rows)`` returns the evaluator ``h(theta)`` of
-    those rows, one point per row. Coordinate i is searched over s in
-    [0, 1], with theta_i = lo + s * (hi - lo), so every line search
-    closes at the same fraction of its box side. A row sweeps until a
-    sweep raises its value by at most _SWEEP_GAIN * (1 + |value|) (a
-    single sweep in one dimension); a row that has stopped is not
-    evaluated again. The value stop also ends a row whose profile is
-    flat along a coordinate, where the point would wander but the value
-    cannot rise.
+
+def _derivatives(F, dim):
+    """Gradient and Hessian per row from the values F (m, S) on _stencil(dim)."""
+    h = _STENCIL_H
+    plus, minus = F[:, 1:2 * dim + 1:2], F[:, 2:2 * dim + 2:2]
+    grad = (plus - minus) / (2.0 * h)
+    hess = np.empty((len(F), dim, dim))
+    d = np.arange(dim)
+    hess[:, d, d] = (plus - 2.0 * F[:, :1] + minus) / (h * h)
+    corners = F[:, 2 * dim + 1:].reshape(len(F), -1, 4)
+    cross = (corners[..., 0] - corners[..., 1] - corners[..., 2] + corners[..., 3]) / (4.0 * h * h)
+    i, j = np.triu_indices(dim, 1)
+    hess[:, i, j] = hess[:, j, i] = cross
+    return grad, hess
+
+
+def _cholesky_solve(A, b):
+    """Solve A x = b for every row of symmetric (m, d, d) A, by Cholesky.
+
+    Plain numpy over the rows (no LAPACK). Returns x and whether each A is
+    positive definite; x is meaningless where it is not.
     """
-    theta = np.array(start, dtype=float)
-    value = np.full(len(theta), -np.inf)
-    rows = np.arange(len(theta))
-    for _ in range(_MAX_SWEEPS):
-        h = objective(rows)
-        before = value[rows]
-        unit = np.zeros(rows.size), np.ones(rows.size)
-        for i, (lo, hi) in enumerate(bounds):
-            current, side = theta[rows], hi - lo
+    m, dim = b.shape
+    L = np.zeros_like(A)
+    definite = np.ones(m, dtype=bool)
+    for j in range(dim):
+        pivot = A[:, j, j] - (L[:, j, :j] ** 2).sum(axis=1)
+        definite &= pivot > 0.0
+        L[:, j, j] = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
+        for i in range(j + 1, dim):
+            L[:, i, j] = (A[:, i, j] - (L[:, i, :j] * L[:, j, :j]).sum(axis=1)) / L[:, j, j]
+    y = np.empty_like(b)
+    for i in range(dim):
+        y[:, i] = (b[:, i] - (L[:, i, :i] * y[:, :i]).sum(axis=1)) / L[:, i, i]
+    x = np.empty_like(b)
+    for i in reversed(range(dim)):
+        x[:, i] = (y[:, i] - (L[:, i + 1:, i] * x[:, i + 1:]).sum(axis=1)) / L[:, i, i]
+    return x, definite
 
-            def line(s, _i=i, _current=current, _lo=lo, _side=side):
-                trial = _current.copy()
-                trial[:, _i] = _lo + s * _side
-                return h(trial)
 
-            si, vi = _golden_max(line, *unit)
-            theta[rows, i] = lo + si * side
-            value[rows] = vi
-        after = value[rows]
-        # a row whose value is not finite stops; its slack stays finite,
-        # so -inf + inf is never formed
-        finite = np.isfinite(after)
-        slack = _SWEEP_GAIN * (1.0 + np.abs(np.where(finite, after, 0.0)))
-        rows = rows[finite & (after > before + slack)]
-        if len(bounds) == 1 or rows.size == 0:
+def _newton_step(u, grad, hess):
+    """Ascent step, Newton decrement and definiteness per row at u.
+
+    Solves (-H) step = g. A coordinate pinned at an edge of the cube with
+    its gradient pointing out is dropped from the system (its step is 0).
+    Where -H is not positive definite it is shifted by mu I, which makes
+    it so (a Levenberg step; see :func:`_levenberg_shift`).
+    """
+    dim = u.shape[1]
+    pinned = ((u <= 0.0) & (grad <= 0.0)) | ((u >= 1.0) & (grad >= 0.0))
+    free = ~pinned
+    eye = np.eye(dim)
+    A = np.where(free[:, :, None] & free[:, None, :], -hess, eye)
+    grad = np.where(free, grad, 0.0)
+    step, definite = _cholesky_solve(A, grad)
+    if not definite.all():
+        shifted, _ = _cholesky_solve(A + _levenberg_shift(A)[:, None, None] * eye, grad)
+        step = np.where(definite[:, None], step, shifted)
+    return step, (grad * step).sum(axis=1), definite
+
+
+def _levenberg_shift(A):
+    """mu per row with A + mu I positive definite: _LEVENBERG * (1 + max
+    |A_ii|) above -(smallest eigenvalue) for 2 x 2 A, in closed form, and
+    above Gershgorin's bound on it for larger A."""
+    diag = np.diagonal(A, axis1=1, axis2=2)
+    margin = _LEVENBERG * (1.0 + np.max(np.abs(diag), axis=1))
+    if A.shape[1] == 2:
+        a, c, b = A[:, 0, 0], A[:, 1, 1], A[:, 0, 1]
+        lowest = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    else:
+        lowest = np.min(diag + np.abs(diag) - np.abs(A).sum(axis=2), axis=1)
+    return np.maximum(-lowest, 0.0) + margin
+
+
+def _newton_max(h, start):
+    """Maximize on the unit cube by damped Newton ascent, one start per row.
+
+    ``h(rows, u)`` evaluates row ``rows[k]``'s objective at the point
+    ``u[k]``. Each iteration makes one call for the central-difference
+    stencil (gradient and Hessian, spacing _STENCIL_H, centered at least
+    _STENCIL_H inside the cube) of every row still searching. The Newton
+    step (see :func:`_newton_step`) is clipped to the cube and halved, in
+    lockstep, until it strictly raises the row's value. A row stops once
+    no step raises its value, once its Newton decrement is at most
+    _NEWTON_TOL (after trying that last step), or once a step gains at
+    most _NEWTON_GAIN * (1 + |value|), which also ends a row whose
+    objective is flat in some direction; a row that has stopped is not
+    evaluated again, and a row with a non-finite value or stencil stops
+    where it is. Returns the point and value of every row, and the mask
+    of rows still searching at the iteration cap.
+    """
+    u = np.array(start, dtype=float)
+    dim = u.shape[1]
+    offsets = _stencil(dim)
+    value = h(np.arange(len(u)), u)
+    active = np.flatnonzero(np.isfinite(value))
+    capped = np.zeros(len(u), dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        if active.size == 0:
             break
-    return theta, value
+        center = np.clip(u[active], _STENCIL_H, 1.0 - _STENCIL_H)
+        F = h(np.repeat(active, len(offsets)), (center[:, None, :] + offsets).reshape(-1, dim))
+        F = F.reshape(active.size, len(offsets))
+        with np.errstate(invalid="ignore", over="ignore"):
+            grad, hess = _derivatives(F, dim)
+            # the gradient at u itself, where the stencil was moved inside
+            grad = grad + (hess * (u[active] - center)[:, None, :]).sum(axis=2)
+            step, decrement, definite = _newton_step(u[active], grad, hess)
+        last = definite & (decrement <= _NEWTON_TOL)
+        before = value[active]
+        # lockstep backtracking over positions in ``active``; a row at its
+        # last step tries it once
+        pending = np.flatnonzero(np.isfinite(F).all(axis=1) & (decrement > 0.0))
+        raised = np.zeros(active.size, dtype=bool)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            if pending.size == 0:
+                break
+            rows = active[pending]
+            trial = np.clip(u[rows] + t * step[pending], 0.0, 1.0)
+            f = h(rows, trial)
+            up = f > value[rows]
+            u[rows[up]], value[rows[up]] = trial[up], f[up]
+            raised[pending[up]] = True
+            pending = pending[~up & ~last[pending]]
+            t *= 0.5
+        after = value[active]
+        small = after - before <= _NEWTON_GAIN * (1.0 + np.abs(after))
+        active = active[raised & ~last & ~small]
+    else:
+        capped[active] = True
+    return u, value, capped
 
 
 def _default_box(theta) -> tuple[tuple[float, float], ...]:
@@ -405,10 +543,11 @@ def _pick_best(candidates):
 
 
 def _boundary_warnings(theta, bounds) -> tuple[str, ...]:
-    """Notes for the coordinates a line search left at an edge of the box.
+    """Notes for the coordinates the search left at an edge of the box.
 
-    A coordinate is at an edge when it lies within the search's closing
-    distance of it, measured as a fraction of its side of the box.
+    A coordinate is at an edge when it lies within a Brent search's
+    closing distance of it, measured as a fraction of its side of the box
+    (the Newton search stops on the edge itself).
     """
     notes = []
     for i, (v, (lo, hi)) in enumerate(zip(theta, bounds)):
@@ -419,35 +558,59 @@ def _boundary_warnings(theta, bounds) -> tuple[str, ...]:
     return tuple(notes)
 
 
+def _scorer(kind: Kind, family, X, lam):
+    """The search objective ``h(theta, rows=None)`` on a validated block.
+
+    Point k is scored against sample row ``rows[k]`` (row k when ``rows``
+    is None; a lone sample broadcasts against every point, uncopied), in
+    chunks of at most _EVAL_VALUES sample values. Degenerate points and
+    nan map to -inf.
+    """
+    chunk = max(1, _EVAL_VALUES // X.shape[1])
+
+    def h(theta, rows=None):
+        out = np.empty(len(theta))
+        for a in range(0, len(theta), chunk):
+            part = slice(a, a + chunk)
+            block = X if len(X) == 1 else X[part] if rows is None else X[rows[part]]
+            value, degenerate = _evaluate(kind, family._at_columns(theta[part]), block, lam)
+            out[part] = np.where(degenerate | np.isnan(value), -np.inf, value)
+        return out
+
+    return h
+
+
 def _fit_rows(kind: Kind, family, X, bounds, lam, extras=()):
     """Maximize ln L over theta for every row of a validated block.
 
-    Runs the multistart coordinate search with one engine row per
-    (sample, start) pair, then scores the direct candidates ``extras``
-    (each an (R, d) array, one point per sample). Search values map
-    degenerate points and nan to -inf. Returns the candidates
-    ``[(theta (R, d), value (R,)), ...]``: the multistart results, then
-    the extras, in the order _pick_best reads them.
+    One parameter: a Brent search over its side of the box. More: the
+    Newton search from the multistart set, one engine row per (sample,
+    start) pair. Then the direct candidates ``extras`` (each an (R, d)
+    array, one point per sample) are scored. Returns the candidates
+    ``[(theta (R, d), value (R,)), ...]``, the search results then the
+    extras, in the order _pick_best reads them, and the number of starts
+    per sample that the Newton search left at its iteration cap.
     """
-    starts = np.asarray(_multistarts(bounds))
-    per = len(starts)
-    sample_of = np.repeat(np.arange(len(X)), per)
-
-    def scorer(block):
-        def h(theta):
-            value, degenerate = _evaluate(kind, family._at_columns(theta), block, lam)
-            return np.where(degenerate | np.isnan(value), -np.inf, value)
-        return h
-
-    def objective(rows):
-        # a lone sample broadcasts against the parameter rows, uncopied
-        return scorer(X if len(X) == 1 else X[sample_of[rows]])
-
-    theta, value = _coordinate_max(objective, np.tile(starts, (len(X), 1)), bounds)
-    candidates = [(theta[j::per], value[j::per]) for j in range(per)]
-    h = scorer(X)
+    h = _scorer(kind, family, X, lam)
+    capped = np.zeros(len(X), dtype=int)
+    if len(bounds) == 1:
+        # a line search over the full side does not depend on a start
+        (lo, hi), = bounds
+        s, value = _golden_max(lambda s: h(lo + s[:, None] * (hi - lo)),
+                               np.zeros(len(X)), np.ones(len(X)))
+        candidates = [(lo + s[:, None] * (hi - lo), value)]
+    else:
+        to_theta = _unit_map(bounds)
+        starts = _unit_starts(len(bounds))
+        per = len(starts)
+        sample_of = np.repeat(np.arange(len(X)), per)
+        u, value, stopped = _newton_max(lambda rows, u: h(to_theta(u), sample_of[rows]),
+                                        np.tile(starts, (len(X), 1)))
+        theta = to_theta(u)
+        candidates = [(theta[j::per], value[j::per]) for j in range(per)]
+        capped = stopped.reshape(len(X), per).sum(axis=1)
     candidates.extend((t, h(t)) for t in extras)
-    return candidates
+    return candidates, capped
 
 
 def _fit_block(kind: Kind, family, X, bounds, lam, extras=()):
@@ -456,7 +619,7 @@ def _fit_block(kind: Kind, family, X, bounds, lam, extras=()):
     Returns ``(theta_hat, value, degenerate)`` as :func:`_evaluate`
     reports them at theta_hat.
     """
-    theta_hat, _ = _pick_best(_fit_rows(kind, family, X, bounds, lam, extras))
+    theta_hat, _ = _pick_best(_fit_rows(kind, family, X, bounds, lam, extras)[0])
     return (theta_hat, *_evaluate(kind, family._at_columns(theta_hat), X, lam))
 
 
@@ -486,10 +649,13 @@ def _fit(kind, base_family, s, lam, theta_bounds) -> FitResult:
     theta_hat, trace, warnings = (), None, ()
     if bounds:
         _check_support(member, X)
-        candidates = _fit_rows(kind, family, X, bounds, lam)
+        candidates, capped = _fit_rows(kind, family, X, bounds, lam)
         theta_hat = tuple(float(v) for v in _pick_best(candidates)[0][0])
         trace = tuple((tuple(float(v) for v in t[0]), float(val[0])) for t, val in candidates)
         warnings = _boundary_warnings(theta_hat, bounds)
+        if capped[0]:
+            warnings += (f"{capped[0]} of {_N_MULTISTARTS} starts stopped at the "
+                         f"search's iteration cap ({_NEWTON_MAX_ITER})",)
     x = X[0]
     if lam is None:
         lam = mle_lambda(kind, family, theta_hat, x)
@@ -500,20 +666,22 @@ def _fit(kind, base_family, s, lam, theta_bounds) -> FitResult:
 def fit_full(kind, base_family, s, theta_bounds=None) -> FitResult:
     """Maximize ll(lambda, theta) jointly, lambda by its closed form.
 
-    For each candidate theta the exponent is profiled out analytically;
-    theta then maximizes the profile by cycling Brent line searches over
-    its coordinates, each across its side of ``theta_bounds``, from a
-    fixed multistart set; a family with parameters requires the box and a
-    parameter-free family refuses it. A start stops once a sweep no
-    longer raises its value, and the best start wins, ties going to the
-    smaller theta: for second-kind bases with a scale, where lambda and
-    the scale are not separately identified and the profile is flat along
-    the scale, that rule picks ``theta_hat``. The search is local along
-    each axis, so on a curved ridge (first-kind Weibull) it can stop
-    short of the maximum. The multistart results are kept in
-    ``profile_trace``; a solution within a line search's closing distance
-    of an edge of the box is reported in ``warnings``. The reported values
-    are :func:`mle_lambda` and :func:`loglik` at the solution.
+    For each candidate theta the exponent is profiled out analytically,
+    and theta maximizes the profile over ``theta_bounds``; a family with
+    parameters requires the box and a parameter-free family refuses it.
+    One parameter is searched by a Brent line search across its side of
+    the box. Two or more are searched by damped Newton ascent from a
+    fixed multistart set, in coordinates where each side of the box is
+    [0, 1] on a log scale (linear for a side that reaches 0). It follows
+    curved ridges, such as the first-kind Weibull's in (shape, scale), to
+    their top. The best start wins, ties going to the smaller theta: for
+    second-kind bases with a scale, where lambda and the scale are not
+    separately identified and the profile is flat along the scale, that
+    rule picks ``theta_hat``. The search results are kept in
+    ``profile_trace``. A solution at an edge of the box, and starts that
+    stop at the search's iteration cap, are reported in ``warnings``. The
+    reported values are :func:`mle_lambda` and :func:`loglik` at the
+    solution.
     """
     return _fit(kind, base_family, s, None, theta_bounds)
 

@@ -248,6 +248,25 @@ def test_column_kernels_match_scalar_instances(family, theta):
         assert _same_bits(block, np.stack(rows)), kernel
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("family,theta", [
+    (Uniform, [(), ()]),
+    (Exponential, [(1.0,), (0.3,), (7.5,)]),
+    (Weibull, _weibull_sweep()),
+    (_Rayleigh, [(1.5,), (0.2,), (9.0,)]),
+])
+def test_column_hazard_kernel_matches_scalar_instances(family, theta, first):
+    x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
+    x[:, 0] = 0.0
+    columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = [family(*t)._log_hazard_and_kernel(xi, first) for t, xi in zip(theta, x)]
+        block = columns._log_hazard_and_kernel(x, first)
+    for j in range(2):
+        assert _same_bits(np.broadcast_to(block[j], x.shape),
+                          np.stack([np.broadcast_to(r[j], xi.shape) for r, xi in zip(rows, x)]))
+
+
 @pytest.fixture()
 def rayleigh():
     register_family(_Rayleigh)
@@ -339,3 +358,39 @@ def test_family_without_a_fused_kernel_gets_the_default(rayleigh, first):
     d = rayleigh(1.5)
     fused = _fused_kernel(d, FUSED_X, first)
     assert all(_same_bits(f, s) for f, s in zip(fused, _separate_kernels(d, FUSED_X, first)))
+
+
+# -- the hazard kernel ----------------------------------------------------------
+
+HAZARD_X = FUSED_X[FUSED_X >= 0.0]  # the engine calls it on the support only
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("d", [Weibull(*t) for t in WEIBULL_FUSED]
+                         + [Weibull(38.0, 0.85), Uniform(), Exponential(1.0), Exponential(0.3)],
+                         ids=lambda d: d.describe())
+def test_hazard_kernel_is_ln_f_less_the_kernel(d, first):
+    # w has the bits of the separate kernel, so the exponent MLE is the
+    # same; ln f - w agrees with the subtraction up to the digits the
+    # subtraction loses to |ln f| + |w| (the closed forms keep them)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hazard, w = d._log_hazard_and_kernel(HAZARD_X, first)
+    lp, kernel = _separate_kernels(d, HAZARD_X, first)
+    assert _same_bits(w, kernel)
+    with np.errstate(invalid="ignore"):
+        want = lp - w
+    finite = np.isfinite(want)
+    hazard = np.broadcast_to(hazard, want.shape)
+    assert np.array_equal(hazard[~finite], want[~finite], equal_nan=True)
+    err = np.abs(hazard[finite] - want[finite])
+    assert np.all(err <= 1e-13 * (np.abs(lp) + np.abs(w))[finite] + 1e-12)
+
+
+def test_second_kind_weibull_hazard_is_closed_form_at_large_shape():
+    x = np.array([0.5, 2.767137403252649, 40.0])
+    d = Weibull(38.36343365, 0.85183933)
+    with np.errstate(over="ignore"):
+        hazard, _ = d._log_hazard_and_kernel(x, False)
+    want = [math.log(d.shape / d.scale) + (d.shape - 1.0) * math.log(v / d.scale)
+            for v in x.tolist()]
+    assert np.allclose(hazard, want, rtol=1e-14, atol=0.0)

@@ -23,13 +23,15 @@ from lehmann import (
     run_power_study,
     sample,
 )
+from lehmann import estimate
 from lehmann.estimate import (
     _GOLDEN_MAX_ITER,
     _GOLDEN_TOL,
-    _coordinate_max,
     _fit_block,
     _golden_max,
-    _multistarts,
+    _newton_max,
+    _unit_map,
+    _unit_starts,
 )
 from lehmann.lrt_sim import (
     _cell_statistics,
@@ -133,70 +135,92 @@ def test_golden_max_rows_equal_scipy_bounded_brent():
     assert min(steps) <= 2 and max(steps) >= 30
 
 
-def test_coordinate_max_drops_converged_rows_and_matches_lone_runs():
-    # the cross term couples the coordinates, so the rows need different
-    # numbers of sweeps; a row is evaluated only in the sweeps it needs
-    peak = np.array([[0.3, 0.6], [0.7, 0.2], [0.5, 0.5], [0.4, 0.8]])
-    coupling = np.array([0.0, 0.1, 0.3, 0.6])
-    start = np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1], [0.2, 0.2]])
-    bounds = ((0.0, 1.0), (0.0, 1.0))
+def _searched(peaks, scales, starts):
+    """_newton_max on a smooth, non-quadratic, coupled objective, one
+    (peak, scale) per row; returns its result and the rows of every call."""
+    calls = []
 
-    def searched(rows_of):
-        sweeps = []
+    def h(rows, u):
+        calls.append(rows.tolist())
+        a = scales[rows, None] * (u - peaks[rows])
+        return -np.cosh(a[:, 0]) - np.cosh(a[:, 1] + 0.5 * a[:, 0]) + 0.3 * a[:, 0] * a[:, 1]
 
-        def objective(rows):
-            sweeps.append(rows_of[rows].tolist())
-            p, c = peak[rows_of[rows]], coupling[rows_of[rows]]
+    return (*_newton_max(h, starts), calls)
 
-            def h(theta):
-                assert theta.shape == (rows.size, 2)
-                u, v = theta[:, 0] - p[:, 0], theta[:, 1] - p[:, 1]
-                return -(u * u + v * v + c * u * v)
 
-            return h
-
-        theta, value = _coordinate_max(objective, start[rows_of], bounds)
-        return theta, value, sweeps
-
-    theta, value, sweeps = searched(np.arange(len(peak)))
+def test_newton_max_drops_converged_rows_and_matches_lone_runs():
+    # far and near starts and steep and gentle objectives need different
+    # numbers of iterations; a row is evaluated only in the calls it needs
+    peaks = np.array([[0.3, 0.6], [0.7, 0.2], [0.5, 0.5], [0.4, 0.8]])
+    scales = np.array([1.0, 3.0, 8.0, 20.0])
+    starts = np.array([[0.31, 0.59], [0.5, 0.5], [0.9, 0.1], [0.1, 0.1]])
+    u, value, capped, calls = _searched(peaks, scales, starts)
+    assert not capped.any()
     needed = []
-    for r in range(len(peak)):
-        alone_theta, alone_value, alone_sweeps = searched(np.array([r]))
-        assert (tuple(theta[r]), value[r]) == (tuple(alone_theta[0]), alone_value[0])
-        # row r is in the first len(alone_sweeps) sweeps and in none after
-        assert [r in rows for rows in sweeps] == [True] * len(alone_sweeps) + [False] * (
-            len(sweeps) - len(alone_sweeps))
-        needed.append(len(alone_sweeps))
-    assert needed == [2, 4, 5, 8] and len(sweeps) == 8
+    for r in range(len(peaks)):
+        lone_u, lone_value, _, lone_calls = _searched(peaks[r:r + 1], scales[r:r + 1],
+                                                      starts[r:r + 1])
+        # bit for bit, at the peak (the cosh terms give no other maximum)
+        assert (tuple(u[r]), value[r]) == (tuple(lone_u[0]), lone_value[0])
+        assert np.abs(u[r] - peaks[r]).max() < 1e-7
+        # row r is evaluated in as many calls as alone, and in none after
+        # its last one
+        mine = [i for i, rows in enumerate(calls) if r in rows]
+        assert len(mine) == len(lone_calls)
+        needed.append(mine[-1])
+    assert len(set(needed)) == len(needed) and max(needed) == len(calls) - 1
 
 
-def test_coordinate_max_stops_a_row_flat_along_a_coordinate():
-    # the value is flat along theta[1] up to 1e-13 of noise, as along an
-    # unidentified scale under rounding: the point wanders from sweep to
-    # sweep (a stop on movement runs all 10 sweeps here), but the value
-    # stops rising after the second
-    sweeps = []
+def test_newton_max_stops_a_row_flat_along_a_coordinate():
+    # the value is flat along u[1] up to 1e-13 of noise, as along an
+    # unidentified scale under rounding: the noise steers u[1], but the
+    # value stops rising within a few iterations, far from the cap
+    calls = []
 
-    def objective(rows):
-        sweeps.append(rows.tolist())
+    def h(rows, u):
+        calls.append(len(rows))
+        return -(u[:, 0] - 0.3) ** 2 + 1e-13 * np.sin(1e12 * u[:, 0] * u[:, 1])
 
-        def h(theta):
-            u, v = theta[:, 0], theta[:, 1]
-            return -(u - 0.3) ** 2 + 1e-13 * np.sin(1e12 * u * v)
+    u, value, capped = _newton_max(h, np.array([[0.9, 0.5]]))
+    assert not capped.any() and len(calls) < 40
+    assert abs(u[0, 0] - 0.3) < 1e-7 and abs(value[0]) < 1e-12
 
-        return h
 
-    theta, value = _coordinate_max(objective, np.array([[0.9, 0.5]]), ((0.0, 1.0), (0.0, 2.0)))
-    assert sweeps == [[0], [0]]
-    assert abs(theta[0, 0] - 0.3) < 1e-7 and abs(value[0]) < 1e-12
+@pytest.mark.parametrize("dim", [2, 3])
+def test_newton_max_climbs_out_of_a_convex_tail(dim):
+    # a coupled Gaussian bump: its Hessian is indefinite or positive
+    # definite away from the peak, where the Levenberg shift must still
+    # give an ascent step
+    peak = np.linspace(0.4, 0.6, dim)
+    coupling = 0.4 * (np.ones((dim, dim)) - np.eye(dim)) + np.eye(dim)
+
+    def h(rows, u):
+        a = 6.0 * (u - peak)
+        return np.exp(-0.5 * np.einsum("ri,ij,rj->r", a, coupling, a))
+
+    starts = np.array([[0.2] * dim, [0.8] * dim, [0.2] + [0.8] * (dim - 1)])
+    u, value, capped = _newton_max(h, starts)
+    assert not capped.any()
+    assert np.abs(u - peak).max() < 1e-6 and np.all(value > 1.0 - 1e-12)
+
+
+def test_rows_at_the_iteration_cap_are_reported(monkeypatch):
+    monkeypatch.setattr(estimate, "_NEWTON_MAX_ITER", 2)
+    peaks = np.array([[0.3, 0.6], [0.4, 0.8]])
+    u, value, capped, _ = _searched(peaks, np.array([1.0, 20.0]),
+                                    np.array([[0.3, 0.6], [0.1, 0.1]]))
+    assert capped.tolist() == [False, True]
+    x = sample(extend(Weibull(2.0, 1.0), 0.5, Kind.FIRST), 50, 2026)
+    fit = fit_full(Kind.FIRST, "weibull", x, theta_bounds=((0.1, 40.0), (0.05, 20.0)))
+    assert fit.warnings[-1].endswith("starts stopped at the search's iteration cap (2)")
 
 
 def _reference_fit(kind, family, x, bounds, lam, extras):
     """Best theta by one public loglik call per objective evaluation.
 
-    Each coordinate is searched by scipy's bounded Brent over its box
-    side mapped to [0, 1], and a start stops sweeping once a sweep raises
-    its value by at most 1e-12 * (1 + |value|).
+    One parameter: scipy's bounded Brent over its box side mapped to
+    [0, 1]. More: the engine's Newton search on the unit cube, from the
+    engine's starts, with every stencil and trial point evaluated alone.
     """
 
     def h(theta):
@@ -207,18 +231,16 @@ def _reference_fit(kind, family, x, bounds, lam, extras):
         value = loglik(kind, family, theta, at, x)
         return -math.inf if math.isnan(value) else value
 
-    finals = []
-    for start in _multistarts(bounds):
-        theta, value = list(start), -math.inf
-        for _ in range(10):
-            before = value
-            for i, (lo, hi) in enumerate(bounds):
-                res = _brent(
-                    lambda s: h(theta[:i] + [lo + s * (hi - lo)] + theta[i + 1:]), 0.0, 1.0)
-                theta[i], value = lo + res.x * (hi - lo), -res.fun
-            if len(bounds) == 1 or not value > before + 1e-12 * (1.0 + abs(value)):
-                break
-        finals.append((tuple(theta), value))
+    if len(bounds) == 1:
+        (lo, hi), = bounds
+        res = _brent(lambda s: h([lo + s * (hi - lo)]), 0.0, 1.0)
+        finals = [((lo + res.x * (hi - lo),), -res.fun)]
+    else:
+        to_theta = _unit_map(bounds)
+        u, value, _ = _newton_max(
+            lambda rows, u: np.array([h(tuple(t)) for t in to_theta(u)]),
+            _unit_starts(len(bounds)))
+        finals = [(tuple(t), v) for t, v in zip(to_theta(u), value)]
     finals += [(tuple(t), h(list(t))) for t in extras]
     best_theta, best = finals[0]
     for theta, value in finals[1:]:
@@ -256,6 +278,28 @@ def test_block_rows_equal_the_scalar_reference(base, kind, lam):
     full, misspec, failed = _lrt_rows(cfg, X, _null_loglik(cfg, X))
     assert not failed.any()
     assert list(zip(full, misspec)) == [_reference_lrt(x, cfg) for x in X]
+
+
+def test_objective_calls_are_chunked_without_changing_a_bit(monkeypatch):
+    # the Newton stencil multiplies the rows by 9; calls are cut to at most
+    # _EVAL_VALUES sample values each, here 7 points of n = 12 values
+    cfg = _cfg(Weibull(2.0, 1.0), Kind.FIRST)
+    X = _draw_block(cfg, extend(cfg.base, 2.0, Kind.FIRST), 1, range(4))
+    bounds = cfg.effective_theta_bounds()
+    whole = _fit_block(Kind.FIRST, Weibull, X, bounds, None)
+    sizes = []
+
+    def recorded(kind, base, X, lam):
+        sizes.append(base.shape.shape[0] * X.shape[1])
+        return evaluate(kind, base, X, lam)
+
+    evaluate = estimate._evaluate
+    monkeypatch.setattr(estimate, "_EVAL_VALUES", 7 * cfg.n)
+    monkeypatch.setattr(estimate, "_evaluate", recorded)
+    chunked = _fit_block(Kind.FIRST, Weibull, X, bounds, None)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, chunked))
+    # the final evaluation at theta_hat is one call for the whole block
+    assert max(sizes[:-1]) == 7 * cfg.n and sizes[-1] == len(X) * cfg.n
 
 
 @pytest.mark.parametrize("kind", [Kind.FIRST, Kind.SECOND])
@@ -297,25 +341,23 @@ def _float_fingerprint() -> str:
 # report bytes with them
 RECORDED_FLOATS = "8062d9b35ed497d6ef59bb33124e1ab044cd9db6fe1028142b3fe33bc9713b66"
 
-# SHA-256 of LrtReport.to_json(), recorded with the Brent line searches
-# ("weibull-second-kind" re-recorded with the log-space Weibull kernels:
-# its statistics moved by at most 5.0e-13 and every power count was the
-# same; "exponential" re-recorded when first-kind draws whose base
-# fraction is at least 1/2 began inverting through the survival side:
-# same critical values and power counts, mean_log_ratio moved by at most
-# 8.3e-17)
+# SHA-256 of LrtReport.to_json(), recorded when the engine began summing
+# ln f - w (the log hazard) and two-parameter fits began using the Newton
+# search: "exponential" moved in the last ulps (crit_full by 1.4e-14,
+# mean_log_ratio by 5.6e-17), "weibull-second-kind" by at most 1.7e-13
+# (critical values); every power count was the same
 PINNED_REPORTS = {
     "exponential": (
         dict(kind=Kind.FIRST, base_family="exponential", theta0=(1.0,),
              lambda_grid=(1.0, 2.0), n=30, replications=100, alpha=0.1,
              seed=2024, calibration_replications=1000),
-        "2971ee987a508ffb6089701c9c85df61feea08edb68519f7924e82dc154b7d8d",
+        "f92314fea83ce97e1067184e1397e4de49e75d1f636176bbf6c71403be1efdb5",
     ),
     "weibull-second-kind": (
         dict(kind=Kind.SECOND, base_family="weibull", theta0=(2.0, 1.0),
              lambda_grid=(1.0, 0.5), n=20, replications=100, alpha=0.1,
              seed=2025, calibration_replications=1000),
-        "429c4d6c946ab5430afcb7b8fcdb85bca4acbf4fe07274ec3321e330a42ce8c0",
+        "e578e01df86d609f8b1bb71b304117df5499d66e984a865e52736da244c389d0",
     ),
 }
 
@@ -330,8 +372,8 @@ def test_report_bytes_are_pinned(name):
 
 
 # SHA-256 of LrtReport.to_csv() for the "exponential" study above, recorded
-# with the survival-side first-kind draws
-PINNED_CSV = "42a380b68c2fbb4a4acd5b203070bfd0f98c2ac8aa5c50ddc9a1976f4f5a55bf"
+# with the log-hazard sums
+PINNED_CSV = "2064cf20d1f46b267cecdc5232ce3db3c5cc7220b66365f6591f9c307dd3ac9a"
 
 
 def test_report_csv_bytes_are_pinned():
@@ -343,15 +385,14 @@ def test_report_csv_bytes_are_pinned():
 
 # SHA-256 of FitResult.to_json() for first-kind Weibull fit_full on
 # sample(extend(Weibull(2, 1), lam, FIRST), n, 2026), recorded with the
-# survival-side first-kind draws (loglik moved by +4.3e-8, +7.4e-7,
-# +1.9e-5 and +0.076 nats in table order); the search does not reach the
-# MLE on this ridge, so these pin the search, not the optimum, and a
-# last-ulp change in the kernels or the sample moves them
+# Newton search, which reaches the maximum of this ridge (loglik rose by
+# 0.77, 0.86, 1.57 and 3.18 nats in table order over the coordinate
+# search before it; test_estimate.py checks the optimum itself)
 PINNED_WEIBULL_FITS = {
-    (0.5, 50): "649dc40f36d230e76b32aa71e4dccf3c289996fbd3da1e8bd36d4113c729366d",
-    (0.5, 200): "d58619ef2782648776a365304f007ed3b2afcb885c2be1656ecf2f9b1ef826e9",
-    (2.0, 50): "9b458b898759c2f0c232358c0c4f3170c8ab643d1ddeb5f3761f6d49bfd99c55",
-    (2.0, 200): "598f1b66ba3ff1097b4dcaf21cbb23b182bd0d8a94da419a5e8f0692245b2fa0",
+    (0.5, 50): "f6315cc9881c27a8a15c68c22bbbbbd887ca17dcbcc0743a508fa11f97f94c4c",
+    (0.5, 200): "e06e06e52b8e77f80e413abd8f05d498075157641c278744f74dda13125dcce3",
+    (2.0, 50): "05dfa84d0a3e22f0058b16247c4f023fc1eec08edfa80f4616386c119844721e",
+    (2.0, 200): "aab2d316d9d5a419e2d5b54aae7637ba8e28c5092d4bfc7704adb8e0e05be357",
 }
 
 

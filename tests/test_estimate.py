@@ -268,7 +268,7 @@ def test_fit_result_validates_and_serializes():
 @pytest.mark.filterwarnings("error")
 def test_fits_through_the_support_end_stop_without_warnings():
     # ln F(0) = -inf under the first kind, so every search value is -inf
-    # and the sweep stop rule must not form -inf + inf
+    # and the searches' stop rules must not form -inf + inf
     x = [0.0, 1.0, 2.0]
     with pytest.raises(DegenerateSampleError):
         fit_full(Kind.FIRST, "exponential", x, theta_bounds=EXP_BOUNDS)
@@ -288,3 +288,103 @@ def test_fit_is_deterministic():
     b = fit_full(Kind.FIRST, Weibull, x, WEI_BOUNDS)
     assert a.to_json() == b.to_json()
     assert a.theta_hat == b.theta_hat
+
+
+def test_second_kind_weibull_profile_keeps_its_digits_at_large_shape():
+    # ln f = ... - z and (lam - 1) ln(1 - F) = -(lam - 1) z, with z up to
+    # ~1e20 here: summed separately they cancel every digit (the value was
+    # 0.0); the engine sums the log hazard ln f - w, in which z cancels
+    x = sample(extend(Weibull(2.0, 1.0), 0.5, Kind.SECOND), 50, 7).values
+    k, s = 38.0, 0.85
+    lam = mle_lambda(Kind.SECOND, "weibull", (k, s), x)
+    got = loglik(Kind.SECOND, "weibull", (k, s), lam, x)
+    # closed form: sum(ln k - ln s + (k - 1) ln(x/s)) + n ln lam + lam sum w,
+    # with w = -(x/s)**k and lam sum w = -n at the exponent MLE
+    n = len(x)
+    z = [(v / s) ** k for v in x.tolist()]
+    hazard = math.fsum(math.log(k / s) + (k - 1.0) * math.log(v / s) for v in x.tolist())
+    want = hazard + n * math.log(n / math.fsum(z)) - n
+    assert want == pytest.approx(-1930.18, abs=0.01)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+# seeded first-kind Weibull samples whose profile has a curved
+# (shape, scale) ridge: the fit must reach the top, not just climb
+GAP_SEEDS = (2026, 1, 2, 3)
+GAP_BOX = ((0.1, 40.0), (0.05, 20.0))
+
+
+def _nelder_mead_optimum(kind, x, starts) -> float:
+    """Best public profile value of scipy's bounded Nelder-Mead from ``starts``."""
+    from scipy.optimize import minimize
+
+    def negative_profile(theta):
+        theta = tuple(float(t) for t in theta)
+        try:
+            return -loglik(kind, "weibull", theta, mle_lambda(kind, "weibull", theta, x), x)
+        except DegenerateSampleError:
+            return math.inf
+
+    best = -math.inf
+    for start in starts:
+        res = minimize(negative_profile, np.asarray(start, dtype=float),
+                       method="Nelder-Mead", bounds=list(GAP_BOX),
+                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+        best = max(best, -float(res.fun))
+    return best
+
+
+@pytest.mark.parametrize("seed", GAP_SEEDS)
+@pytest.mark.parametrize("lam,n", [(0.5, 50), (0.5, 200), (2.0, 50), (2.0, 200)])
+def test_first_kind_weibull_fit_reaches_the_nelder_mead_optimum(lam, n, seed):
+    x = sample(extend(Weibull(2.0, 1.0), lam, Kind.FIRST), n, seed).values
+    fit = fit_full(Kind.FIRST, "weibull", x, theta_bounds=GAP_BOX)
+    reference = _nelder_mead_optimum(Kind.FIRST, x, [fit.theta_hat, (2.0, 1.0)])
+    assert reference - fit.loglik <= 1e-7
+
+
+@pytest.mark.parametrize("c", [0.3, 7.0])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("kind", [Kind.FIRST, Kind.SECOND])
+@pytest.mark.parametrize("base", [Exponential(1.0), Weibull(2.0, 1.0)],
+                         ids=lambda b: b.family_id)
+def test_fit_full_is_scale_equivariant(base, kind, lam, c):
+    # c * x under the base scale c * s (rate r / c) is x under s: the
+    # density picks up 1/c per value, so ln L shifts by exactly -n ln c
+    x = sample(extend(base, lam, kind), 50, 2026).values
+    if isinstance(base, Exponential):
+        box, scaled = ((0.05, 20.0),), ((0.05 / c, 20.0 / c),)
+    else:
+        box, scaled = GAP_BOX, (GAP_BOX[0], (0.05 * c, 20.0 * c))
+    fit = fit_full(kind, type(base), x, theta_bounds=box)
+    moved = fit_full(kind, type(base), c * x, theta_bounds=scaled)
+    want = fit.loglik - len(x) * math.log(c)
+    assert moved.loglik == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_profiled_exponent_of_exactly_one_keeps_the_density_sum():
+    # sum ln(1 - F) = -(0.5 + 1.5) = -n under rate 1, so lambda_hat is
+    # exactly 1, where loglik sums ln f alone; the profiled value must too
+    from lehmann.estimate import _evaluate
+
+    x = np.array([[0.5, 1.5]])
+    assert mle_lambda(Kind.SECOND, Exponential, (1.0,), x[0]) == 1.0
+    value, degenerate = _evaluate(Kind.SECOND, Exponential(1.0), x, None)
+    assert not degenerate[0]
+    assert value[0] == loglik(Kind.SECOND, Exponential, (1.0,), 1.0, x[0])
+
+
+@pytest.mark.parametrize("kind,family,theta,lam,x,want", [
+    (Kind.FIRST, "uniform", (), 2.0, [0.0, 0.5], -math.inf),
+    (Kind.FIRST, "uniform", (), 0.5, [0.0, 0.5], math.inf),
+    (Kind.SECOND, "uniform", (), 2.0, [1.0, 0.5], -math.inf),
+    (Kind.FIRST, "exponential", (1.0,), 0.5, [0.0, 0.5], math.inf),
+    (Kind.FIRST, "weibull", (1.0, 1.0), 2.0, [0.0, 0.5], -math.inf),
+    (Kind.FIRST, "weibull", (2.0, 1.0), 2.0, [0.0, 0.5], -math.inf),
+    (Kind.SECOND, "weibull", (0.5, 1.0), 2.0, [0.0, 0.5], math.inf),
+])
+def test_loglik_at_a_support_end_takes_the_limit(kind, family, theta, lam, x, want):
+    # ln F = -inf (first kind) or ln(1 - F) = -inf (second kind) at a
+    # sample value: the density of the powered law is 0 or unbounded
+    # there, as lam > 1 or lam < 1, unless the base density decides
+    assert loglik(kind, family, theta, lam, x) == want
