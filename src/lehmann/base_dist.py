@@ -21,23 +21,18 @@ outside the support); quantiles are defined on the open interval (0, 1)
 only. Parameters are validated at construction, never at evaluation, and
 instances are immutable.
 
-One fused kernel is optional: ``_log_pdf_and_kernel(x, first)`` returns
-ln f with ln F (``first``) or ln(1 - F), the pair the powered density
-needs. The default calls the two kernels. A family overrides it when both
-share an intermediate worth computing once, as Weibull's ``ln(x/scale)``
-and ``z = (x/scale)**shape``; an override returns exactly the bits of the
-separate kernels, and its caller silences floating-point warnings.
+One fused kernel is optional: ``_log_hazard_and_kernel(x, first)``
+returns ln f - w and w, with w = ln F (``first``) or ln(1 - F); the
+likelihood engine forms sum(ln f - w) + n ln(lam) + lam sum(w) from
+them. w has the bits of the separate kernel, ``_log_cdf`` or
+``_log_sf``. The default computes w with that kernel and subtracts it
+from ``_log_pdf``. A family overrides it with a closed form where ln f
+and w share a large term that would cancel, as the second-kind
+Weibull's ``z``. It is called only on samples inside the support, and
+its caller silences floating-point warnings.
 
-The likelihood engine reads a second optional kernel,
-``_log_hazard_and_kernel(x, first)``: ln f - w with w = ln F (``first``)
-or ln(1 - F), and w itself, with the bits of the separate kernel. The
-default subtracts the fused pair. A family overrides it with a closed
-form where ln f and w share a large term that would cancel, as the
-second-kind Weibull's ``z``. It is called only on samples inside the
-support, and its caller silences floating-point warnings.
-
-The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the two
-optional kernels) are the kernels the likelihood engine uses. They must
+The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the
+optional kernel) are the kernels the likelihood engine uses. They must
 also work on the unvalidated instance
 :meth:`BaseDistribution._at_columns` builds, whose parameters are
 ``(R, 1)`` columns broadcasting against an
@@ -165,7 +160,7 @@ class BaseDistribution(_Law, ABC):
     Subclasses are frozen dataclasses whose fields are the parameters, in
     ``param_names`` order. They implement ``support`` and the kernels
     ``_log_pdf``, ``_log_sf`` and ``_quantile``, and may override the
-    fused ``_log_pdf_and_kernel`` (see the module docstring); the log
+    fused ``_log_hazard_and_kernel`` (see the module docstring); the log
     kernels also accept parameter columns (see :meth:`_at_columns`).
     """
 
@@ -226,14 +221,10 @@ class BaseDistribution(_Law, ABC):
     @abstractmethod
     def _quantile(self, u): ...
 
-    def _log_pdf_and_kernel(self, x, first):
-        # (ln f, ln F) if first else (ln f, ln(1 - F)); see the module docstring
-        return self._log_pdf(x), (self._log_cdf(x) if first else self._log_sf(x))
-
     def _log_hazard_and_kernel(self, x, first):
         # (ln f - w, w) with w = ln F if first else ln(1 - F); see the module docstring
-        lp, w = self._log_pdf_and_kernel(x, first)
-        return lp - w, w
+        w = self._log_cdf(x) if first else self._log_sf(x)
+        return self._log_pdf(x) - w, w
 
     def _quantile_sf(self, s):
         # inverse survival kernel on (0, 1]; this default loses the upper
@@ -382,11 +373,6 @@ class Weibull(BaseDistribution):
     def _log_sf(self, x):
         with np.errstate(divide="ignore", over="ignore"):
             return -self._log_terms(x)[1]
-
-    # ln f and the log kernel share ly and z, so they are computed once
-    def _log_pdf_and_kernel(self, x, first):
-        ly, z = self._log_terms(x)
-        return self._log_pdf_at(x, ly, z), (_log1mexp(-z) if first else -z)
 
     # ln f - ln(1 - F) = ln(k) - ln(s) + (k - 1) ln(x/s): z cancels, so a
     # large shape loses no digits to ln f + z

@@ -26,10 +26,10 @@ from .base_dist import BaseDistribution
 from .descriptors import parse_distribution
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
 from .estimate import _default_box, fit_full
-from .extend import ExtendedDistribution, Kind, extend
+from .extend import extend
 from .extend import sample as draw_sample
 from .extend import sample_from_csv, sample_to_csv
-from .infotheory import kl_numeric, power_loss_closed
+from .infotheory import _as_extended, kl_numeric, power_loss_closed
 from .lrt_sim import parse_sim_config, run_power_study
 from .svgplot import render_curve
 
@@ -124,12 +124,8 @@ def cmd_fit(input, dist, out) -> None:
     descriptor = dist or s.source
     if not descriptor:
         raise DomainError("the file records no source descriptor; pass --dist")
-    d = parse_distribution(descriptor)
-    if isinstance(d, ExtendedDistribution):
-        kind, base = d.kind, d.base
-    else:
-        kind, base = Kind.FIRST, d
-    result = fit_full(kind, type(base), s, theta_bounds=_default_box(base.theta))
+    d = _as_extended(parse_distribution(descriptor))
+    result = fit_full(d.kind, type(d.base), s, theta_bounds=_default_box(d.base.theta))
     _emit(result.to_json() + "\n", out)
 
 
@@ -145,8 +141,7 @@ def cmd_moments(dist, k, out, fmt) -> None:
     """Raw moments E[X**j] for j = 1..k, by quadrature."""
     d = parse_distribution(dist)
     shown = d.describe()
-    if isinstance(d, BaseDistribution):
-        d = extend(d, 1.0)
+    d = _as_extended(d)
     if k < 1:
         raise DomainError(f"--k must be >= 1, got {k}")
     rows = [(j, d.moment(j)) for j in range(1, k + 1)]

@@ -75,6 +75,14 @@ def _coerce_kind(kind) -> Kind:
     raise DomainError(f"kind must be Kind.FIRST, Kind.SECOND, 1 or 2, got {kind!r}")
 
 
+def _whole(value) -> int | None:
+    """``value`` as an int if it is an integral number, else None."""
+    # a bool is an int, but no count, order or seed is a truth value
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    return int(value) if integral and not isinstance(value, bool) else None
+
+
 def _kernel_log(kind: Kind, base, x):
     """ln F (first kind) or ln(1 - F) (second kind): the powered side."""
     return base._log_cdf(x) if kind is Kind.FIRST else base._log_sf(x)
@@ -131,7 +139,8 @@ class ExtendedDistribution(_Law):
         # w = -inf with lam < 1 gives +inf: the boundary divergence; outside
         # the support lp = -inf must win over it. Huge x overflows to -inf.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lp, w = self.base._log_pdf_and_kernel(x, self.kind is Kind.FIRST)
+            lp = self.base._log_pdf(x)
+            w = _kernel_log(self.kind, self.base, x)
             out = math.log(self.lam) + lp + (self.lam - 1.0) * w
         return np.where(np.isneginf(lp), -np.inf, out)
 
@@ -194,11 +203,11 @@ class ExtendedDistribution(_Law):
         estimate) if the quadrature does not converge, which is also how
         a divergent moment surfaces.
         """
-        if k != int(k) or int(k) < 1:
+        order = _whole(k)
+        if order is None or order < 1:
             raise DomainError(f"moment order k must be a positive integer, got {k!r}")
-        k = int(k)
         x_at = _node_map(self)
-        value, _err = integrate_unit(lambda t: x_at(t) ** k)
+        value, _err = integrate_unit(lambda t: x_at(t) ** order)
         return value
 
 
@@ -248,12 +257,14 @@ def sample(dist, n: int, seed: int) -> Sample:
     seed, so identical (dist, n, seed) always reproduces the identical
     sample. Uniforms are drawn on the open interval (0, 1).
     """
-    if int(n) != n or int(n) < 1:
+    size, key = _whole(n), _whole(seed)
+    if size is None or size < 1:
         raise DomainError(f"sample size n must be a positive integer, got {n!r}")
-    gen = substream(seed)
-    u = open_uniform(gen, int(n))
+    if key is None:
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    u = open_uniform(substream(key), size)
     values = np.asarray(dist.quantile(u), dtype=float)
-    return Sample(values=values, seed=int(seed), source=dist.describe())
+    return Sample(values=values, seed=key, source=dist.describe())
 
 
 def sample_values(s) -> np.ndarray:

@@ -58,6 +58,7 @@ class KlResult:
 
 
 def _as_extended(d) -> ExtendedDistribution:
+    """``d`` as a powered law; a base becomes its lambda = 1 first-kind law."""
     if isinstance(d, ExtendedDistribution):
         return d
     if isinstance(d, BaseDistribution):

@@ -23,18 +23,20 @@ The replications of a cell are drawn into ``(R, n)`` blocks and fitted
 together by the block engine of :mod:`lehmann.estimate`; every row gets
 the bits :func:`lrt_statistics` gives its sample alone.
 
-Per replication the harness also records the per-observation mean log
-likelihood ratio between the two fitted alternatives,
-(ll_full - ll_restricted) / n. For a parameter-free base (uniform) its
-expectation is the divergence ``ln(lam) + (1 - lam)/lam`` that
-``power_loss_closed`` gives in closed form, and the report carries both
-so the bridge can be checked. When theta is refit, the restricted fit
-converges to the pseudo-true parameter instead, and the mean estimates
-the projection divergence min over theta of KL(G(lam, theta0) || F(theta)),
-which is smaller than the closed form. No claim is made that the
-divergence (in nats) equals the power difference (in probability units);
-the report exposes the qualitative ordering and the divergence
-separately.
+Per replication the harness also records (full - misspec) / (2n) =
+(ll_full - ll_restricted) / n, the per-observation log likelihood ratio
+of the two fitted alternatives; each cell reports its mean,
+``mean_log_ratio``. As the full fit converges to (lam, theta0) and the
+restricted fit to the pseudo-true theta, the mean estimates min over
+theta of KL(G(lam, theta0) || F(theta)). That limit is at most
+KL(G(lam, theta0) || F(theta0)) = ln(lam) + (1 - lam)/lam, the closed
+form of ``power_loss_closed`` that the report carries as
+``delta_closed``. It equals it for the uniform base, which has no
+theta, and is 0 for the second-kind exponential and Weibull, whose
+powered law stays in the family, so there the mis-specified test loses
+no power. No claim is made that the divergence (in nats) equals the
+power difference (in probability units); the report exposes the
+qualitative ordering and the divergence separately.
 """
 
 from __future__ import annotations
@@ -435,13 +437,12 @@ class CellResult:
     """Power-study results for one grid exponent.
 
     ``mean_log_ratio`` is the mean over kept replications of
-    (ll_full - ll_restricted) / n, with standard error
-    ``se_mean_log_ratio``. ``delta_closed`` is ``ln(lam) + (1-lam)/lam``,
-    the divergence of G(lam, theta0) from G(1, theta0) at the same base
-    parameters: the value ``mean_log_ratio`` estimates for a
-    parameter-free base only. When theta is refit, ``mean_log_ratio``
-    estimates the projection divergence min over theta of
-    KL(G(lam, theta0) || F(theta)), which is smaller.
+    (full - misspec) / (2n), with standard error ``se_mean_log_ratio``;
+    it estimates min over theta of KL(G(lam, theta0) || F(theta)).
+    ``delta_closed`` is ``ln(lam) + (1-lam)/lam`` = KL(G(lam, theta0) ||
+    F(theta0)): that limit for the uniform base, which has no theta, and
+    an upper bound on it otherwise. The limit is 0 for the second-kind
+    exponential and Weibull, whose powered law stays in the family.
     """
 
     lam: float

@@ -237,15 +237,18 @@ def _weibull_sweep():
 ])
 def test_column_kernels_match_scalar_instances(family, theta):
     # kernels on (R, 1) parameter columns give each row the bits of its
-    # scalar instance, at 0 and below the support too
+    # scalar instance, at 0 and below the support too, on one row per
+    # parameter point and on one (1, n) row shared by all of them
     x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
     x[:, :2] = 0.0, -1.0
     columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
-    for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = [getattr(family(*t), kernel)(xi) for t, xi in zip(theta, x)]
-            block = getattr(columns, kernel)(x)
-        assert _same_bits(block, np.stack(rows)), kernel
+    for sample in (x, x[:1]):
+        for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = [getattr(family(*t), kernel)(xi)
+                        for t, xi in zip(theta, np.broadcast_to(sample, x.shape))]
+                block = getattr(columns, kernel)(sample)
+            assert _same_bits(np.broadcast_to(block, x.shape), np.stack(rows)), kernel
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
@@ -259,12 +262,15 @@ def test_column_hazard_kernel_matches_scalar_instances(family, theta, first):
     x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
     x[:, 0] = 0.0
     columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = [family(*t)._log_hazard_and_kernel(xi, first) for t, xi in zip(theta, x)]
-        block = columns._log_hazard_and_kernel(x, first)
-    for j in range(2):
-        assert _same_bits(np.broadcast_to(block[j], x.shape),
-                          np.stack([np.broadcast_to(r[j], xi.shape) for r, xi in zip(rows, x)]))
+    # one row per parameter point, then one (1, n) row shared by all of them
+    for sample in (x, x[:1]):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rows = [family(*t)._log_hazard_and_kernel(xi, first)
+                    for t, xi in zip(theta, np.broadcast_to(sample, x.shape))]
+            block = columns._log_hazard_and_kernel(sample, first)
+        for j in range(2):
+            assert _same_bits(np.broadcast_to(block[j], x.shape),
+                              np.stack([np.broadcast_to(r[j], x.shape[1:]) for r in rows]))
 
 
 @pytest.fixture()
@@ -303,10 +309,11 @@ def test_family_implementing_only_the_contract(rayleigh):
     assert kl_numeric(g1, d).value == pytest.approx(math.log(2.0) - 0.5, abs=1e-9)
 
 
-# -- the fused kernel ---------------------------------------------------------
+# -- the hazard kernel ----------------------------------------------------------
 
-# 0, below the support, next to 0, the body and far in the tail
-FUSED_X = np.array([0.0, -2.0, -1e-300, 1e-300, 0.01, 0.4, 1.0, 2.5, 30.0, 1e3, 1e6])
+# 0, next to 0, the body and far in the tail: the engine calls it on the
+# support only
+HAZARD_X = np.array([0.0, 1e-300, 0.01, 0.4, 1.0, 2.5, 30.0, 1e3, 1e6])
 
 
 def _same_bits(a, b) -> bool:
@@ -319,56 +326,12 @@ def _separate_kernels(d, x, first):
         return d._log_pdf(x), (d._log_cdf(x) if first else d._log_sf(x))
 
 
-def _fused_kernel(d, x, first):
-    # callers of the fused kernel silence floating-point warnings
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return d._log_pdf_and_kernel(x, first)
-
-
-WEIBULL_FUSED = [(1.0, 0.7), (2.0, 1.3), (0.5, 2.0), (0.7, 3.0)]
-
-
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-@pytest.mark.parametrize("d", [Weibull(*t) for t in WEIBULL_FUSED]
-                         + [Uniform(), Exponential(1.0), Exponential(0.3)],
-                         ids=lambda d: d.describe())
-def test_fused_kernel_equals_the_separate_kernels(d, first):
-    # Weibull overrides the fused kernel; uniform and exponential use the default
-    fused = _fused_kernel(d, FUSED_X, first)
-    assert all(_same_bits(f, s) for f, s in zip(fused, _separate_kernels(d, FUSED_X, first)))
-
-
-@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-@pytest.mark.parametrize("shared", [False, True], ids=["block", "one-row"])
-def test_weibull_fused_column_kernel_equals_the_scalar_kernels(shared, first):
-    theta = np.array(WEIBULL_FUSED)
-    columns = Weibull._at_columns(theta)
-    # one row per parameter point, or one (1, n) row shared by all of them
-    x = FUSED_X[None, :] if shared else np.vstack([FUSED_X * (1.0 + 0.1 * r)
-                                                   for r in range(len(theta))])
-    lp, w = _fused_kernel(columns, x, first)
-    for r, t in enumerate(WEIBULL_FUSED):
-        lp_r, w_r = _separate_kernels(Weibull(*t), x[0 if shared else r], first)
-        assert _same_bits(lp[r], lp_r) and _same_bits(w[r], w_r), t
-
-
-@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-def test_family_without_a_fused_kernel_gets_the_default(rayleigh, first):
-    assert "_log_pdf_and_kernel" not in vars(rayleigh)
-    d = rayleigh(1.5)
-    fused = _fused_kernel(d, FUSED_X, first)
-    assert all(_same_bits(f, s) for f, s in zip(fused, _separate_kernels(d, FUSED_X, first)))
-
-
-# -- the hazard kernel ----------------------------------------------------------
-
-HAZARD_X = FUSED_X[FUSED_X >= 0.0]  # the engine calls it on the support only
-
-
-@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-@pytest.mark.parametrize("d", [Weibull(*t) for t in WEIBULL_FUSED]
-                         + [Weibull(38.0, 0.85), Uniform(), Exponential(1.0), Exponential(0.3)],
-                         ids=lambda d: d.describe())
+@pytest.mark.parametrize("d", [
+    Weibull(1.0, 0.7), Weibull(2.0, 1.3), Weibull(0.5, 2.0), Weibull(0.7, 3.0),
+    Weibull(38.0, 0.85), Uniform(), Exponential(1.0), Exponential(0.3),
+    _Rayleigh(1.5),  # implements the contract only, so it takes the default
+], ids=lambda d: d.describe())
 def test_hazard_kernel_is_ln_f_less_the_kernel(d, first):
     # w has the bits of the separate kernel, so the exponent MLE is the
     # same; ln f - w agrees with the subtraction up to the digits the

@@ -92,7 +92,7 @@ def _log_pdf_by_separate_kernels(g, x):
                                           Weibull(0.7, 3.0)], ids=lambda b: b.describe())
 @pytest.mark.parametrize("lam", [0.5, 3.0])
 @pytest.mark.parametrize("kind", [Kind.FIRST, Kind.SECOND])
-def test_log_pdf_uses_the_fused_kernel_bit_for_bit(base, lam, kind):
+def test_log_pdf_equals_the_separate_kernels_bit_for_bit(base, lam, kind):
     x = np.array([-1.0, 0.0, 1e-300, 0.01, 0.3, 0.999, 1.0, 2.0, 40.0, 1e3])
     g = extend(base, lam, kind)
     assert g._log_pdf(x).tobytes() == _log_pdf_by_separate_kernels(g, x).tobytes()
@@ -225,6 +225,17 @@ def test_sample_rejects_bad_n():
         sample(extend(Uniform(), 2.0), 0, 1)
     with pytest.raises(DomainError):
         sample(extend(Uniform(), 2.0), -5, 1)
+    # True == 1, but a count is no truth value; nor is a seed, and a
+    # fractional seed names no stream (the sample CSV rejects both)
+    with pytest.raises(DomainError):
+        sample(extend(Uniform(), 2.0), True, 0)
+    with pytest.raises(DomainError):
+        sample(Uniform(), 2, True)
+    with pytest.raises(DomainError):
+        sample(Uniform(), 2, 1.5)
+    # numpy integers and negative seeds are integers
+    s = sample(Uniform(), np.int64(2), np.int32(-3))
+    assert len(s) == 2 and s.seed == -3 and type(s.seed) is int
 
 
 def test_sample_is_deterministic_and_in_support():
@@ -278,6 +289,8 @@ def test_moment_rejects_bad_order():
         g.moment(0)
     with pytest.raises(DomainError):
         g.moment(1.5)
+    with pytest.raises(DomainError):
+        extend(Exponential(1.0), 2.0).moment(True)
 
 
 def test_moment_matches_monte_carlo_beta_expectation():

@@ -19,6 +19,7 @@ from lehmann import (
     SimConfig,
     calibrate,
     config_hash,
+    extend,
     lrt_statistics,
     parse_sim_config,
     power_loss_closed,
@@ -26,7 +27,13 @@ from lehmann import (
 )
 from lehmann import lrt_sim
 from lehmann.cli import main
-from lehmann.lrt_sim import CellResult, _draw_block, canonical_config_text
+from lehmann.lrt_sim import (
+    CellResult,
+    _draw_block,
+    _lrt_rows,
+    _null_loglik,
+    canonical_config_text,
+)
 
 CONFIG_TEXT = """\
 # two-cell power study
@@ -381,6 +388,23 @@ def test_kl_bridge_tracks_closed_form():
     assert abs(alt_cell.mean_log_ratio - power_loss_closed(3.0)) < (
         4.0 * alt_cell.se_mean_log_ratio + 2.0 / cfg.n
     )
+
+
+@pytest.mark.parametrize("family,theta0", [("exponential", (1.0,)), ("weibull", (2.0, 1.0))])
+def test_second_kind_closure_costs_the_misspecified_test_nothing(family, theta0):
+    # the second-kind law of these bases stays in the family, so the fit
+    # with lam pinned to 1 reaches the full fit row by row, and the log
+    # ratio's limit min over theta of KL(G(lam, theta0) || F(theta)) is 0
+    cfg = SimConfig(kind=Kind.SECOND, base_family=family, theta0=theta0,
+                    lambda_grid=(1.0, 3.0), n=50, replications=200, alpha=0.05,
+                    seed=7, calibration_replications=1000)
+    for cell, lam in enumerate(cfg.lambda_grid, start=1):
+        X = _draw_block(cfg, extend(cfg.base, lam, cfg.kind), cell, range(cfg.replications))
+        full, misspec, failed = _lrt_rows(cfg, X, _null_loglik(cfg, X))
+        assert not failed.any() and len(full) == cfg.replications
+        assert np.max(np.abs(full - misspec)) <= 1e-9, lam
+    for cell in run_power_study(cfg).cells:
+        assert abs(cell.mean_log_ratio) <= 1e-12, cell.lam
 
 
 def test_power_ordering_exponential_moderate_lambda():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from lehmann.base_dist import BaseDistribution
 from lehmann.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +35,16 @@ def test_cli_examples_run(tmp_path, monkeypatch):
     for args in commands:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, (args, res.output)
+
+
+def test_family_section_names_the_kernel_contract():
+    # every kernel the section names exists, and every kernel a family
+    # implements or may override is named
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Adding a base family", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<!\w)_[a-z]\w*", section))
+    assert named and all(hasattr(BaseDistribution, name) for name in named), named
+    kernels = {name for name, value in vars(BaseDistribution).items()
+               if name.startswith("_") and not name.startswith("__") and callable(value)}
+    assert {"_log_hazard_and_kernel", "_quantile_sf"} <= kernels
+    assert kernels <= named, kernels - named
