@@ -235,20 +235,21 @@ def _weibull_sweep():
     (Weibull, _weibull_sweep()),
     (_Rayleigh, [(1.5,), (0.2,), (9.0,)]),
 ])
-def test_column_kernels_match_scalar_instances(family, theta):
+@pytest.mark.parametrize("shared", [False, True], ids=["block", "one-row"])
+def test_column_kernels_match_scalar_instances(family, theta, shared):
     # kernels on (R, 1) parameter columns give each row the bits of its
     # scalar instance, at 0 and below the support too, on one row per
-    # parameter point and on one (1, n) row shared by all of them
+    # parameter point or on one (1, n) row shared by all of them
     x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
     x[:, :2] = 0.0, -1.0
     columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
-    for sample in (x, x[:1]):
-        for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rows = [getattr(family(*t), kernel)(xi)
-                        for t, xi in zip(theta, np.broadcast_to(sample, x.shape))]
-                block = getattr(columns, kernel)(sample)
-            assert _same_bits(np.broadcast_to(block, x.shape), np.stack(rows)), kernel
+    sample = x[:1] if shared else x
+    for kernel in ("_log_pdf", "_log_cdf", "_log_sf"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = [getattr(family(*t), kernel)(xi)
+                    for t, xi in zip(theta, np.broadcast_to(sample, x.shape))]
+            block = getattr(columns, kernel)(sample)
+        assert _same_bits(np.broadcast_to(block, x.shape), np.stack(rows)), kernel
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
@@ -258,19 +259,20 @@ def test_column_kernels_match_scalar_instances(family, theta):
     (Weibull, _weibull_sweep()),
     (_Rayleigh, [(1.5,), (0.2,), (9.0,)]),
 ])
-def test_column_hazard_kernel_matches_scalar_instances(family, theta, first):
+@pytest.mark.parametrize("shared", [False, True], ids=["block", "one-row"])
+def test_column_hazard_kernel_matches_scalar_instances(family, theta, first, shared):
     x = np.abs(np.random.default_rng(3).normal(size=(len(theta), 30))) + 0.01
     x[:, 0] = 0.0
     columns = family._at_columns(np.array(theta, dtype=float).reshape(len(theta), -1))
-    # one row per parameter point, then one (1, n) row shared by all of them
-    for sample in (x, x[:1]):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rows = [family(*t)._log_hazard_and_kernel(xi, first)
-                    for t, xi in zip(theta, np.broadcast_to(sample, x.shape))]
-            block = columns._log_hazard_and_kernel(sample, first)
-        for j in range(2):
-            assert _same_bits(np.broadcast_to(block[j], x.shape),
-                              np.stack([np.broadcast_to(r[j], x.shape[1:]) for r in rows]))
+    # one row per parameter point, or one (1, n) row shared by all of them
+    sample = x[:1] if shared else x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = [family(*t)._log_hazard_and_kernel(xi, first)
+                for t, xi in zip(theta, np.broadcast_to(sample, x.shape))]
+        block = columns._log_hazard_and_kernel(sample, first)
+    for j in range(2):
+        assert _same_bits(np.broadcast_to(block[j], x.shape),
+                          np.stack([np.broadcast_to(r[j], x.shape[1:]) for r in rows]))
 
 
 @pytest.fixture()

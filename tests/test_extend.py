@@ -88,8 +88,9 @@ def _log_pdf_by_separate_kernels(g, x):
     return np.where(np.isneginf(lp), -np.inf, out)
 
 
-@pytest.mark.parametrize("base", BASES + [Weibull(1.0, 0.7), Weibull(0.5, 2.0),
-                                          Weibull(0.7, 3.0)], ids=lambda b: b.describe())
+@pytest.mark.parametrize("base", BASES + [Weibull(1.0, 0.7), Weibull(2.0, 1.3), Weibull(0.5, 2.0),
+                                          Weibull(0.7, 3.0), Exponential(0.3)],
+                         ids=lambda b: b.describe())
 @pytest.mark.parametrize("lam", [0.5, 3.0])
 @pytest.mark.parametrize("kind", [Kind.FIRST, Kind.SECOND])
 def test_log_pdf_equals_the_separate_kernels_bit_for_bit(base, lam, kind):
