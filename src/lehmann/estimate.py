@@ -29,6 +29,7 @@ class, or an instance (its class is used).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -63,7 +64,6 @@ _MAX_HALVINGS = 30
 # a power-study block (lrt_sim._BLOCK_VALUES = 2**14 values)
 _EVAL_VALUES = _N_MULTISTARTS << 14
 _TIE_TOL = 1e-10
-_HALTON_BASES = (2, 3, 5)
 # a log-kernel sum smaller than this in magnitude saturates the exponent MLE
 _SATURATED = 1e-300
 
@@ -123,7 +123,8 @@ def _as_block(s) -> np.ndarray:
     """A one-dimensional, nonempty sample as a (1, n) block."""
     x = sample_values(s)
     if x.ndim != 1 or x.size < 1:
-        raise DomainError("sample must contain at least one value")
+        raise DomainError("sample must be one-dimensional with at least one "
+                          f"value, got shape {x.shape}")
     return x[None, :]
 
 
@@ -239,10 +240,12 @@ def _halton(index: int, base: int) -> float:
 
 
 def _unit_starts(dim: int) -> np.ndarray:
-    """The multistart points on the unit cube: its center, then Halton points."""
+    """The multistart points on the unit cube: its center, then Halton
+    points whose bases are the first ``dim`` primes."""
+    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    bases = list(itertools.islice(primes, dim))
     return np.array([[0.5] * dim] + [
-        [_halton(i, _HALTON_BASES[j]) for j in range(dim)]
-        for i in range(1, _N_MULTISTARTS)
+        [_halton(i, b) for b in bases] for i in range(1, _N_MULTISTARTS)
     ])
 
 

@@ -207,7 +207,9 @@ class ExtendedDistribution(_Law):
         if order is None or order < 1:
             raise DomainError(f"moment order k must be a positive integer, got {k!r}")
         x_at = _node_map(self)
-        value, _err = integrate_unit(lambda t: x_at(t) ** order)
+        # a power past the float range is inf, which the quadrature reports
+        with np.errstate(over="ignore"):
+            value, _err = integrate_unit(lambda t: x_at(t) ** order)
         return value
 
 

@@ -48,7 +48,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,16 +57,17 @@ from .descriptors import parse_base
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
 from .estimate import (
     _all_equal_rows,
+    _as_block,
     _check_support,
     _checked_box,
     _default_box,
     _degenerate_guard,
     _evaluate,
     _fit_block,
-    _resolve_family,
-    loglik,
 )
-from .extend import Kind, _coerce_kind, extend, sample_values
+# unused; bound for the benchmark tracer test, which reads lrt_sim.loglik
+from .estimate import loglik  # noqa: F401
+from .extend import Kind, _coerce_kind, extend
 from .infotheory import power_loss_closed
 from .rng import GENERATOR_ID, open_uniform, substream
 
@@ -95,13 +95,19 @@ _TRIM_THRESHOLD_PROBE = 1 << 19
 class SimConfig:
     """Declarative description of one power study.
 
-    Every field is validated at construction, the bounds box included,
-    so a bad config fails before any replication is drawn.
+    The fields are the config-file keys in file order: kind, base (the
+    null law F(theta0)), lambda_grid, n, replications, alpha, seed,
+    calibration_replications and theta_bounds (the box the fits search).
+    Every field is validated at construction, so a bad config fails
+    before any replication is drawn. A theta_bounds of None becomes the
+    default box there, a factor of 20 either side of theta0 (empty for a
+    parameter-free base). ``dataclasses.replace`` keeps the box, so a
+    replace that changes base must pass ``theta_bounds=None`` to get the
+    new base's default box.
     """
 
     kind: Kind
-    base_family: str
-    theta0: tuple[float, ...]
+    base: BaseDistribution
     lambda_grid: tuple[float, ...]
     n: int
     replications: int
@@ -112,19 +118,13 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _coerce_kind(self.kind))
-        object.__setattr__(self, "theta0", tuple(float(t) for t in self.theta0))
+        if not isinstance(self.base, BaseDistribution):
+            raise DomainError(f"base must be a base distribution, got {self.base!r}")
         object.__setattr__(self, "lambda_grid", tuple(
             _finite_positive("every lambda_grid value", v) for v in self.lambda_grid
         ))
-        if self.theta_bounds is not None:
-            object.__setattr__(
-                self,
-                "theta_bounds",
-                tuple((float(lo), float(hi)) for lo, hi in self.theta_bounds),
-            )
-        # validates the family id and theta0, then the box the fits search
-        # (a parameter-free family takes no box)
-        _checked_box(type(self.base), self.effective_theta_bounds())
+        box = _default_box(self.base.theta) if self.theta_bounds is None else self.theta_bounds
+        object.__setattr__(self, "theta_bounds", _checked_box(type(self.base), box)[0])
         for name in ("n", "replications", "seed", "calibration_replications"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -138,10 +138,10 @@ class SimConfig:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         # one value identifies no base parameter
-        least = 2 if self.theta0 else 1
+        least = 2 if self.base.theta else 1
         if self.n < least:
             raise DomainError(
-                f"n must be >= {least} for {self.base_family}, got {self.n!r}")
+                f"n must be >= {least} for {self.base.family_id}, got {self.n!r}")
         if self.replications < 100:
             raise DomainError(
                 f"replications must be >= 100, got {self.replications!r}"
@@ -152,21 +152,8 @@ class SimConfig:
                 f"stable quantile, got {self.calibration_replications!r}"
             )
 
-    @cached_property
-    def base(self) -> BaseDistribution:
-        return _resolve_family(self.base_family).from_theta(self.theta0)
 
-    def effective_theta_bounds(self) -> tuple[tuple[float, float], ...]:
-        """Explicit bounds if given, else a wide box around theta0."""
-        if self.theta_bounds is not None:
-            return self.theta_bounds
-        return _default_box(self.theta0)
-
-
-_CONFIG_KEYS = (
-    "kind", "base", "lambda_grid", "n", "replications", "alpha", "seed",
-    "calibration_replications", "theta_bounds",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig))
 
 
 def parse_sim_config(text: str) -> SimConfig:
@@ -176,7 +163,8 @@ def parse_sim_config(text: str) -> SimConfig:
     Keys: kind (1|2|first|second), base (a base descriptor carrying
     theta0), lambda_grid (comma-separated), n, replications, alpha,
     seed, calibration_replications, theta_bounds (optional,
-    comma-separated lo:hi pairs, one per base parameter).
+    comma-separated lo:hi pairs, one per base parameter; empty for a
+    parameter-free base, as the canonical text writes it).
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(str(text).splitlines(), start=1):
@@ -185,7 +173,7 @@ def parse_sim_config(text: str) -> SimConfig:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
+        if not sep or not key or not (value or key == "theta_bounds"):
             raise ParseError(
                 f"expected 'key = value', got {raw!r}",
                 text=raw, position=lineno,
@@ -225,7 +213,8 @@ def parse_sim_config(text: str) -> SimConfig:
     bounds = None
     if "theta_bounds" in entries:
         pairs = []
-        for chunk in entries["theta_bounds"].split(","):
+        # an empty value is the empty box of a parameter-free base
+        for chunk in entries["theta_bounds"].split(",") if entries["theta_bounds"] else ():
             lo, sep, hi = chunk.partition(":")
             if not sep:
                 raise ParseError(
@@ -242,8 +231,7 @@ def parse_sim_config(text: str) -> SimConfig:
     try:
         return SimConfig(
             kind=kind_map[kind_text],
-            base_family=base.family_id,
-            theta0=base.theta,
+            base=base,
             lambda_grid=grid,
             n=num("n", int),
             replications=num("replications", int),
@@ -267,9 +255,7 @@ def canonical_config_text(cfg: SimConfig) -> str:
         "n": str(cfg.n),
         "replications": str(cfg.replications),
         "seed": str(cfg.seed),
-        "theta_bounds": ",".join(
-            f"{lo!r}:{hi!r}" for lo, hi in cfg.effective_theta_bounds()
-        ),
+        "theta_bounds": ",".join(f"{lo!r}:{hi!r}" for lo, hi in cfg.theta_bounds),
     }
     return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))
 
@@ -305,9 +291,9 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray):
     failed = _all_equal_rows(family, X)
     keep = ~failed
     X, ll0 = X[keep], ll0[keep]
-    if cfg.theta0:
-        bounds = cfg.effective_theta_bounds()
-        theta0 = np.tile(np.asarray(cfg.theta0, dtype=float), (len(X), 1))
+    bounds = cfg.theta_bounds
+    if bounds:
+        theta0 = np.tile(np.asarray(cfg.base.theta, dtype=float), (len(X), 1))
         theta_r, restr, _ = _fit_block(cfg.kind, family, X, bounds, 1.0, (theta0,))
         back = restr < ll0
         theta_r[back] = theta0[back]
@@ -353,9 +339,8 @@ def lrt_statistics(s, cfg: SimConfig) -> tuple[float, float]:
     if isinstance(s, _FittedRow):
         row = s
     else:
-        x = sample_values(s)
-        ll0 = loglik(cfg.kind, cfg.base_family, cfg.theta0, 1.0, x)
-        row = _fitted_rows(cfg, x[None, :], np.array([ll0]))[0]
+        X = _as_block(s)
+        row = _fitted_rows(cfg, X, _null_loglik(cfg, X))[0]
     if row.stats is None:
         _degenerate_guard(type(cfg.base), row.values)
         raise DegenerateSampleError(
@@ -419,7 +404,7 @@ def calibrate(cfg: SimConfig) -> tuple[float, float]:
         # imported here: scipy.special is a slow import the results never need
         from scipy.special import chdtri
 
-        df_full = 1 + len(cfg.theta0)
+        df_full = 1 + len(cfg.base.theta)
         wilks = float(chdtri(df_full, 1.0 - q))
         logger.info(
             "calibrated crit_full=%.4f (Wilks chi2 df=%d would give %.4f; "
@@ -507,9 +492,7 @@ class LrtReport:
                     "replications": self.config.replications,
                     "alpha": self.config.alpha,
                     "calibration_replications": self.config.calibration_replications,
-                    "theta_bounds": [
-                        list(b) for b in self.config.effective_theta_bounds()
-                    ],
+                    "theta_bounds": [list(b) for b in self.config.theta_bounds],
                 },
                 "crit_full": self.crit_full,
                 "crit_misspec": self.crit_misspec,

@@ -175,8 +175,7 @@ def test_criterion_08_lrt_power_ordering():
     """
     cfg = SimConfig(
         kind=Kind.FIRST,
-        base_family="exponential",
-        theta0=(1.0,),
+        base=Exponential(1.0),
         lambda_grid=(1.0, 3.0),
         n=50,
         replications=2000,
@@ -247,8 +246,7 @@ def test_criterion_10_byte_identical_serialized_outputs():
 
     cfg = SimConfig(
         kind=Kind.FIRST,
-        base_family="uniform",
-        theta0=(),
+        base=Uniform(),
         lambda_grid=(1.0, 2.0),
         n=60,
         replications=120,

@@ -47,8 +47,7 @@ BASES = [Uniform(), Exponential(1.3), Weibull(2.0, 1.0)]
 def _cfg(base, kind, **overrides) -> SimConfig:
     fields = dict(
         kind=kind,
-        base_family=base.family_id,
-        theta0=base.theta,
+        base=base,
         lambda_grid=(1.0,),
         n=12,
         replications=100,
@@ -87,7 +86,7 @@ def test_block_rows_equal_the_single_sample_path(base, kind, lam):
 
     if not parametric:
         return
-    bounds = cfg.effective_theta_bounds()
+    bounds = cfg.theta_bounds
     kept = X[~failed]
     theta_f, ll_f, _ = _fit_block(kind, type(base), kept, bounds, None)
     theta_r, ll_r, _ = _fit_block(kind, type(base), kept, bounds, 1.0)
@@ -252,10 +251,10 @@ def _reference_fit(kind, family, x, bounds, lam, extras):
 
 
 def _reference_lrt(x, cfg):
-    kind, family, theta0 = cfg.kind, type(cfg.base), cfg.theta0
+    kind, family, theta0 = cfg.kind, type(cfg.base), cfg.base.theta
     ll0 = loglik(kind, family, theta0, 1.0, x)
     if theta0:
-        bounds = cfg.effective_theta_bounds()
+        bounds = cfg.theta_bounds
         theta_r = _reference_fit(kind, family, x, bounds, 1.0, [theta0])
         restr = loglik(kind, family, theta_r, 1.0, x)
         if restr < ll0:
@@ -285,7 +284,7 @@ def test_objective_calls_are_chunked_without_changing_a_bit(monkeypatch):
     # _EVAL_VALUES sample values each, here 7 points of n = 12 values
     cfg = _cfg(Weibull(2.0, 1.0), Kind.FIRST)
     X = _draw_block(cfg, extend(cfg.base, 2.0, Kind.FIRST), 1, range(4))
-    bounds = cfg.effective_theta_bounds()
+    bounds = cfg.theta_bounds
     whole = _fit_block(Kind.FIRST, Weibull, X, bounds, None)
     sizes = []
 
@@ -348,13 +347,13 @@ RECORDED_FLOATS = "8062d9b35ed497d6ef59bb33124e1ab044cd9db6fe1028142b3fe33bc9713
 # (critical values); every power count was the same
 PINNED_REPORTS = {
     "exponential": (
-        dict(kind=Kind.FIRST, base_family="exponential", theta0=(1.0,),
+        dict(kind=Kind.FIRST, base=Exponential(1.0),
              lambda_grid=(1.0, 2.0), n=30, replications=100, alpha=0.1,
              seed=2024, calibration_replications=1000),
         "f92314fea83ce97e1067184e1397e4de49e75d1f636176bbf6c71403be1efdb5",
     ),
     "weibull-second-kind": (
-        dict(kind=Kind.SECOND, base_family="weibull", theta0=(2.0, 1.0),
+        dict(kind=Kind.SECOND, base=Weibull(2.0, 1.0),
              lambda_grid=(1.0, 0.5), n=20, replications=100, alpha=0.1,
              seed=2025, calibration_replications=1000),
         "e578e01df86d609f8b1bb71b304117df5499d66e984a865e52736da244c389d0",

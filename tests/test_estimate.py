@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from lehmann import (
     mle_lambda,
     sample,
 )
+from lehmann.base_dist import BaseDistribution
+from lehmann.estimate import _unit_starts
 
 EXP_BOUNDS = ((0.05, 20.0),)
 WEI_BOUNDS = ((0.2, 8.0), (0.2, 8.0))
@@ -160,6 +164,62 @@ def test_fit_full_recovers_truth_weibull_two_params():
     assert fit.lambda_hat == pytest.approx(2.0, abs=0.8)
 
 
+# _unit_starts(3) before the Halton bases came from a prime list: the
+# columns of bases 2, 3 and 5
+THREE_BASE_STARTS = np.array([
+    [0.5, 0.5, 0.5],
+    [0.5, 0.3333333333333333, 0.2],
+    [0.25, 0.6666666666666666, 0.4],
+    [0.75, 0.1111111111111111, 0.6000000000000001],
+    [0.125, 0.4444444444444444, 0.8],
+])
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_unit_starts_take_one_prime_base_per_dimension(dim):
+    starts = _unit_starts(dim)
+    assert starts.shape == (5, dim)
+    assert (starts[0] == 0.5).all()
+    assert ((starts > 0.0) & (starts < 1.0)).all()
+    # distinct bases give distinct columns
+    assert len({tuple(col) for col in starts.T}) == dim
+    k = min(dim, 3)
+    assert np.array_equal(starts[:, :k], THREE_BASE_STARTS[:, :k])
+
+
+@dataclass(frozen=True)
+class _FourRateExponential(BaseDistribution):
+    """The exponential law of rate a*b/(c*d): four parameters, one identified."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    family_id: ClassVar[str] = "four_rate_exponential"
+    param_names: ClassVar[tuple[str, ...]] = ("a", "b", "c", "d")
+
+    @property
+    def rate(self):
+        return self.a * self.b / (self.c * self.d)
+
+    support = Exponential.support
+    _log_pdf = Exponential._log_pdf
+    _log_sf = Exponential._log_sf
+    _log_hazard_and_kernel = Exponential._log_hazard_and_kernel
+    _quantile = Exponential._quantile
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_four_parameter_family_fits_like_its_one_parameter_form(seed):
+    # every (a, b, c, d) of one rate is the same law, so the profile
+    # maximum over the four-dimensional box is the exponential's
+    x = sample(extend(Exponential(1.5), 2.0), 40, seed).values
+    want = fit_full(Kind.FIRST, "exponential", x, EXP_BOUNDS).loglik
+    got = fit_full(Kind.FIRST, _FourRateExponential, x, ((0.5, 2.0),) * 4).loglik
+    assert got == pytest.approx(want, abs=1e-9)
+
+
 def test_fit_restricted_at_lambda_hat_matches_full():
     x = sample(extend(Exponential(1.0), 2.0), 2_000, 33).values
     full = fit_full(Kind.FIRST, Exponential, x, EXP_BOUNDS)
@@ -244,6 +304,11 @@ def test_fit_rejects_all_equal_sample():
             fit_restricted(Kind.SECOND, family, [0.7], 2.0, bounds)
         with pytest.raises(DomainError, match="at least one value"):
             fit_full(Kind.FIRST, family, [], bounds)
+        # nor is a sample of the wrong shape
+        with pytest.raises(DomainError, match=r"one-dimensional .* shape \(3, 4\)"):
+            fit_full(Kind.FIRST, family, np.ones((3, 4)), bounds)
+    with pytest.raises(DomainError, match=r"one-dimensional .* shape \(\)"):
+        loglik(Kind.FIRST, Exponential, (1.0,), 1.0, np.float64(3.0))
     # a parameter-free family fits its exponent to one value
     fit = fit_full(Kind.FIRST, Uniform, [0.7])
     assert fit.lambda_hat == pytest.approx(-1.0 / math.log(0.7))
@@ -275,7 +340,7 @@ def test_fits_through_the_support_end_stop_without_warnings():
     fit = fit_restricted(Kind.FIRST, "weibull", x, 2.0,
                          theta_bounds=((0.1, 20.0), (0.05, 20.0)))
     assert fit.loglik == -math.inf
-    cfg = SimConfig(kind=Kind.FIRST, base_family="exponential", theta0=(1.0,),
+    cfg = SimConfig(kind=Kind.FIRST, base=Exponential(1.0),
                     lambda_grid=(2.0,), n=3, replications=100, alpha=0.05, seed=1,
                     calibration_replications=1000)
     with pytest.raises(DegenerateSampleError):

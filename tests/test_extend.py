@@ -332,6 +332,12 @@ def test_divergent_moment_raises_numerical_error():
     assert info.value.value is not None
 
 
+def test_moment_past_the_float_range_fails_without_a_warning():
+    # x**400 overflows at the upper nodes; the quadrature reports the inf
+    with pytest.raises(NumericalError):
+        extend(Exponential(1.0), 2.0).moment(400)
+
+
 def test_sample_csv_round_trip():
     s = sample(extend(Exponential(1.0), 2.0), 50, 12345)
     text = sample_to_csv(s)

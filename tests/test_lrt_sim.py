@@ -12,11 +12,15 @@ import pytest
 from click.testing import CliRunner
 
 from lehmann import (
+    FAMILIES,
     DegenerateSampleError,
     DomainError,
+    Exponential,
     Kind,
     ParseError,
     SimConfig,
+    Uniform,
+    Weibull,
     calibrate,
     config_hash,
     extend,
@@ -52,8 +56,7 @@ theta_bounds = 0.1:10
 def uniform_cfg(**overrides) -> SimConfig:
     fields = dict(
         kind=Kind.FIRST,
-        base_family="uniform",
-        theta0=(),
+        base=Uniform(),
         lambda_grid=(1.0, 2.0),
         n=100,
         replications=200,
@@ -79,9 +82,9 @@ def test_config_validation():
     with pytest.raises(DomainError):
         uniform_cfg(n=0)
     with pytest.raises(DomainError):
-        uniform_cfg(base_family="cauchy")
+        uniform_cfg(base="cauchy")
     with pytest.raises(DomainError):
-        uniform_cfg(base_family="exponential", theta0=(1.0, 2.0))
+        uniform_cfg(base=Exponential(1.0), theta_bounds=((0.1, 10.0), (0.1, 10.0)))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -116,8 +119,7 @@ def test_config_stores_alpha_as_a_python_float():
 def test_parse_config_golden():
     cfg = parse_sim_config(CONFIG_TEXT)
     assert cfg.kind is Kind.FIRST
-    assert cfg.base_family == "exponential"
-    assert cfg.theta0 == (1.0,)
+    assert cfg.base == Exponential(1.0)
     assert cfg.lambda_grid == (1.0, 2.0)
     assert cfg.n == 50
     assert cfg.replications == 200
@@ -161,10 +163,42 @@ def test_config_hash_tracks_content():
     assert "seed = 7" in canonical_config_text(c)
 
 
+# config_hash of three configs, recorded before SimConfig held its base law
+PINNED_HASHES = {
+    "given-box": "34e9308f193842b7c30d73bdd1f3a610715be702f5c3611bd6f8c596f6177069",
+    "default-box": "24629c7396dcf788a06a9db0687187b1660c07c4dbf59bf28bb6eb06bd36b0f6",
+    "uniform": "b61c640243fd82440f350a61fa9f3c0fdef53727c4b92952bee934bb49a363d3",
+}
+
+
+def test_config_hash_is_pinned():
+    configs = {
+        "given-box": parse_sim_config(CONFIG_TEXT),
+        "default-box": parse_sim_config(CONFIG_TEXT.replace("theta_bounds = 0.1:10\n", "")),
+        "uniform": uniform_cfg(),
+    }
+    assert {name: config_hash(cfg) for name, cfg in configs.items()} == PINNED_HASHES
+
+
+@pytest.mark.parametrize("base,box", [
+    (Exponential(1.0), ((0.1, 10.0),)),
+    (Exponential(1.0), None),
+    (Weibull(2.0, 1.0), ((0.2, 8.0), (0.1, 5.0))),
+    (Weibull(2.0, 1.0), None),
+    (Uniform(), ()),
+    (Uniform(), None),
+], ids=["exponential-given", "exponential-default", "weibull-given",
+        "weibull-default", "uniform-given", "uniform-default"])
+def test_canonical_config_text_is_a_config_file(base, box):
+    # the uniform text carries an empty "theta_bounds = " line
+    cfg = uniform_cfg(base=base, theta_bounds=box, kind=Kind.SECOND)
+    text = canonical_config_text(cfg)
+    assert parse_sim_config(text) == cfg
+
+
 def test_default_theta_bounds_bracket_theta0():
     cfg = parse_sim_config(CONFIG_TEXT.replace("theta_bounds = 0.1:10\n", ""))
-    assert cfg.theta_bounds is None
-    assert cfg.effective_theta_bounds() == ((1.0 / 20.0, 20.0),)
+    assert cfg.theta_bounds == ((1.0 / 20.0, 20.0),)
 
 
 def test_lrt_statistics_nesting_is_exact():
@@ -215,10 +249,11 @@ def test_too_few_calibration_replications_fail_at_parse_time():
     ("theta_bounds = 0.1:10", "theta_bounds = 10:0.1"),  # reversed
     ("theta_bounds = 0.1:10", "theta_bounds = 0.1:10,0.1:10"),  # wrong dimension
     ("theta_bounds = 0.1:10", "theta_bounds = -1:10"),  # outside the domain
+    ("theta_bounds = 0.1:10", "theta_bounds ="),  # empty
     ("base = exponential(rate=1.0)", "base = uniform()"),  # nothing to bound
     ("n = 50", "n = 1"),  # one value identifies no base parameter
 ], ids=["grid-nan", "grid-inf", "box-reversed", "box-dimension", "box-domain",
-        "box-on-uniform", "n-one"])
+        "box-empty", "box-on-uniform", "n-one"])
 def test_bad_config_fails_at_parse_time_with_exit_2(old, new, tmp_path):
     text = CONFIG_TEXT.replace(old, new)
     with pytest.raises(ParseError, match="invalid config"):
@@ -228,27 +263,19 @@ def test_bad_config_fails_at_parse_time_with_exit_2(old, new, tmp_path):
     assert CliRunner().invoke(main, ["simulate", "--config", str(cfg)]).exit_code == 2
 
 
-def test_import_loads_no_scipy_integrate_or_special():
-    code = ("import sys, lehmann, lehmann.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
 def test_calibrate_logs_the_wilks_diagnostic_at_info(caplog):
     with caplog.at_level("INFO", logger="lehmann.lrt_sim"):
         calibrate(uniform_cfg())
     assert "Wilks chi2 df=1 would give 3.8415" in caplog.text
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, lehmann, lehmann.cli; print('scipy.stats' in sys.modules)"
+def test_import_loads_no_scipy_module():
+    code = ("import sys, lehmann, lehmann.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_calibrate_is_deterministic_and_monotone_in_alpha():
@@ -395,7 +422,7 @@ def test_second_kind_closure_costs_the_misspecified_test_nothing(family, theta0)
     # the second-kind law of these bases stays in the family, so the fit
     # with lam pinned to 1 reaches the full fit row by row, and the log
     # ratio's limit min over theta of KL(G(lam, theta0) || F(theta)) is 0
-    cfg = SimConfig(kind=Kind.SECOND, base_family=family, theta0=theta0,
+    cfg = SimConfig(kind=Kind.SECOND, base=FAMILIES[family].from_theta(theta0),
                     lambda_grid=(1.0, 3.0), n=50, replications=200, alpha=0.05,
                     seed=7, calibration_replications=1000)
     for cell, lam in enumerate(cfg.lambda_grid, start=1):
@@ -411,8 +438,7 @@ def test_power_ordering_exponential_moderate_lambda():
     # identifiable first-kind setup where neither test saturates
     cfg = SimConfig(
         kind=Kind.FIRST,
-        base_family="exponential",
-        theta0=(1.0,),
+        base=Exponential(1.0),
         lambda_grid=(1.5,),
         n=50,
         replications=500,
