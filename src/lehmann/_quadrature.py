@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-10
@@ -295,15 +295,13 @@ def _qelg(n, epstab, res3la, nres):
     return n, nres, result, _fmax(abserr, 5.0 * _EPMACH * abs(result))
 
 
-def _qags(f, a, b, epsabs, epsrel, limit):
-    """dqagse: integrate the array function ``f`` over (a, b).
+def _qags(f, limit):
+    """dqagse: integrate the array function ``f`` over (0, 1) to ABS_TOL, REL_TOL.
 
     Returns ``(result, abserr, ier)`` with QUADPACK's ``ier``: 0 on
     success, otherwise the key of ``_MESSAGES``.
     """
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        raise DomainError(
-            f"quadrature tolerances too small: abs {epsabs!r}, rel {epsrel!r}")
+    a, b, epsabs, epsrel = 0.0, 1.0, ABS_TOL, REL_TOL
     (result, abserr, defabs, resabs), = _rules(f, ((a, b),))
     dres = abs(result)
     errbnd = _fmax(epsabs, epsrel * dres)
@@ -498,7 +496,7 @@ def integrate_unit(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]
     finite, or when QUADPACK reports a failure and the error bound is
     still above tolerance.
     """
-    value, err, ier = _qags(f, 0.0, 1.0, ABS_TOL, REL_TOL, MAX_SUBDIVISIONS)
+    value, err, ier = _qags(f, MAX_SUBDIVISIONS)
     # an infinite error bound never compares above tol * |inf|
     if not (math.isfinite(value) and math.isfinite(err)):
         raise NumericalError(

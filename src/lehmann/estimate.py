@@ -60,9 +60,10 @@ _NEWTON_MAX_ITER = 100
 # to 1 + the largest diagonal entry
 _LEVENBERG = 1e-3
 _MAX_HALVINGS = 30
-# the most sample values one objective call evaluates: the five starts of
-# a power-study block (lrt_sim._BLOCK_VALUES = 2**14 values)
-_EVAL_VALUES = _N_MULTISTARTS << 14
+# sample values drawn and fitted per power-study block (the working set)
+_BLOCK_VALUES = 1 << 14
+# the most sample values one objective call evaluates: the starts of a block
+_EVAL_VALUES = _N_MULTISTARTS * _BLOCK_VALUES
 _TIE_TOL = 1e-10
 # a log-kernel sum smaller than this in magnitude saturates the exponent MLE
 _SATURATED = 1e-300

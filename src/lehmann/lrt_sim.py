@@ -56,6 +56,7 @@ from .base_dist import BaseDistribution, _finite_positive
 from .descriptors import parse_base
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
 from .estimate import (
+    _BLOCK_VALUES,
     _all_equal_rows,
     _as_block,
     _check_support,
@@ -75,8 +76,6 @@ logger = logging.getLogger("lehmann.lrt_sim")
 
 _CAL_CELL = 0  # stream cell index reserved for calibration draws
 _MIN_CALIBRATION = 1000  # replications behind a stable (1 - alpha) quantile
-# sample values drawn and fitted per block; caps the engine's working set
-_BLOCK_VALUES = 1 << 14
 
 # glibc's malloc hands free memory at the top of its heap back to the
 # system once more than a trim threshold (128 KiB at start) sits there,
@@ -153,16 +152,52 @@ class SimConfig:
             )
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig))
+def _parse_kind(text: str) -> Kind:
+    kind = {"1": Kind.FIRST, "first": Kind.FIRST, "2": Kind.SECOND,
+            "second": Kind.SECOND}.get(text.lower())
+    if kind is None:
+        raise ParseError(f"config key 'kind': cannot parse {text!r}",
+                         expected="1, 2, first or second")
+    return kind
+
+
+def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
+    pairs = []
+    # an empty value is the empty box of a parameter-free base
+    for chunk in text.split(",") if text else ():
+        lo, sep, hi = chunk.partition(":")
+        if not sep:
+            raise ParseError(f"config key 'theta_bounds': expected lo:hi, got {chunk!r}")
+        try:
+            pairs.append((float(lo), float(hi)))
+        except ValueError:
+            raise ParseError(f"config key 'theta_bounds': cannot parse {chunk!r}") from None
+    return tuple(pairs)
+
+
+# (parse, render) of each SimConfig field's config-file value, in field order
+_FIELD_TEXT = {
+    "kind": (_parse_kind, lambda kind: str(kind.value)),
+    "base": (parse_base, lambda base: base.describe()),
+    "lambda_grid": (lambda text: tuple(map(float, text.split(","))),
+                    lambda grid: ",".join(map(repr, grid))),
+    "n": (int, str),
+    "replications": (int, str),
+    "alpha": (float, repr),
+    "seed": (int, str),
+    "calibration_replications": (int, str),
+    "theta_bounds": (_parse_box, lambda box: ",".join(f"{lo!r}:{hi!r}" for lo, hi in box)),
+}
 
 
 def parse_sim_config(text: str) -> SimConfig:
     """Parse the flat key/value config format.
 
     One `key = value` per line; blank lines and `#` comments ignored.
-    Keys: kind (1|2|first|second), base (a base descriptor carrying
-    theta0), lambda_grid (comma-separated), n, replications, alpha,
-    seed, calibration_replications, theta_bounds (optional,
+    The keys are the SimConfig fields, whose values are converted in
+    this order: kind (1|2|first|second), base (a base descriptor
+    carrying theta0), lambda_grid (comma-separated), n, replications,
+    alpha, seed, calibration_replications, theta_bounds (optional,
     comma-separated lo:hi pairs, one per base parameter; empty for a
     parameter-free base, as the canonical text writes it).
     """
@@ -178,86 +213,39 @@ def parse_sim_config(text: str) -> SimConfig:
                 f"expected 'key = value', got {raw!r}",
                 text=raw, position=lineno,
             )
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_TEXT:
             raise ParseError(
                 f"unknown config key {key!r}",
                 text=raw, position=lineno,
-                expected=", ".join(_CONFIG_KEYS),
+                expected=", ".join(_FIELD_TEXT),
             )
         if key in entries:
             raise ParseError(f"duplicate config key {key!r}", text=raw, position=lineno)
         entries[key] = value
 
-    missing = [k for k in _CONFIG_KEYS if k != "theta_bounds" and k not in entries]
+    missing = [k for k in _FIELD_TEXT if k != "theta_bounds" and k not in entries]
     if missing:
         raise ParseError(f"missing config key(s): {', '.join(missing)}")
 
-    def num(key, conv):
-        try:
-            return conv(entries[key])
-        except ValueError:
-            raise ParseError(
-                f"config key {key!r}: cannot parse {entries[key]!r}"
-            ) from None
-
-    kind_text = entries["kind"].lower()
-    kind_map = {"1": Kind.FIRST, "first": Kind.FIRST, "2": Kind.SECOND,
-                "second": Kind.SECOND}
-    if kind_text not in kind_map:
-        raise ParseError(
-            f"config key 'kind': cannot parse {entries['kind']!r}",
-            expected="1, 2, first or second",
-        )
-    base = parse_base(entries["base"])
-    grid = tuple(num("lambda_grid", lambda s: [float(v) for v in s.split(",")]))
-    bounds = None
-    if "theta_bounds" in entries:
-        pairs = []
-        # an empty value is the empty box of a parameter-free base
-        for chunk in entries["theta_bounds"].split(",") if entries["theta_bounds"] else ():
-            lo, sep, hi = chunk.partition(":")
-            if not sep:
-                raise ParseError(
-                    f"config key 'theta_bounds': expected lo:hi, got {chunk!r}"
-                )
-            try:
-                pairs.append((float(lo), float(hi)))
-            except ValueError:
-                raise ParseError(
-                    f"config key 'theta_bounds': cannot parse {chunk!r}"
-                ) from None
-        bounds = tuple(pairs)
-
+    values = {}
     try:
-        return SimConfig(
-            kind=kind_map[kind_text],
-            base=base,
-            lambda_grid=grid,
-            n=num("n", int),
-            replications=num("replications", int),
-            alpha=num("alpha", float),
-            seed=num("seed", int),
-            calibration_replications=num("calibration_replications", int),
-            theta_bounds=bounds,
-        )
+        for key, (parse, _) in _FIELD_TEXT.items():
+            if key in entries:
+                values[key] = parse(entries[key])
+    except ParseError:
+        raise
+    except ValueError:
+        raise ParseError(f"config key {key!r}: cannot parse {entries[key]!r}") from None
+    try:
+        return SimConfig(**values)
     except DomainError as exc:
         raise ParseError(f"invalid config: {exc}") from exc
 
 
 def canonical_config_text(cfg: SimConfig) -> str:
     """Deterministic key-sorted rendering used for hashing and echoing."""
-    items = {
-        "alpha": repr(cfg.alpha),
-        "base": cfg.base.describe(),
-        "calibration_replications": str(cfg.calibration_replications),
-        "kind": str(cfg.kind.value),
-        "lambda_grid": ",".join(repr(v) for v in cfg.lambda_grid),
-        "n": str(cfg.n),
-        "replications": str(cfg.replications),
-        "seed": str(cfg.seed),
-        "theta_bounds": ",".join(f"{lo!r}:{hi!r}" for lo, hi in cfg.theta_bounds),
-    }
-    return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))
+    return "".join(f"{key} = {render(getattr(cfg, key))}\n"
+                   for key, (_, render) in sorted(_FIELD_TEXT.items()))
 
 
 def config_hash(cfg: SimConfig) -> str:
@@ -267,17 +255,10 @@ def config_hash(cfg: SimConfig) -> str:
 # -- statistics ----------------------------------------------------------------
 
 
-def _null_loglik(cfg: SimConfig, X: np.ndarray) -> np.ndarray:
-    """Validate a sample block against the null law; ln L(1, theta0) per row."""
-    base = cfg.base
-    _check_support(base, X)
-    return _evaluate(cfg.kind, base, X, 1.0)[0]
+def _lrt_rows(cfg: SimConfig, X: np.ndarray):
+    """LRT statistics for every row of a sample block.
 
-
-def _lrt_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray):
-    """LRT statistics for every row of a validated sample block.
-
-    ``ll0`` holds each row's null log-likelihood ln L(1, theta0). Exact
+    The block is checked against the null law's support first. Exact
     nesting is enforced row by row: the null theta0 competes as a
     candidate in the restricted fit and the restricted solution competes
     in the full fit, so full >= misspec >= 0 holds on every kept row as
@@ -287,6 +268,8 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray):
     misspec, failed)``: the statistics of the kept rows in row order and
     the mask of failed rows.
     """
+    _check_support(cfg.base, X)
+    ll0 = _evaluate(cfg.kind, cfg.base, X, 1.0)[0]
     family = type(cfg.base)
     failed = _all_equal_rows(family, X)
     keep = ~failed
@@ -316,8 +299,8 @@ class _FittedRow(NamedTuple):
     stats: tuple[float, float] | None
 
 
-def _fitted_rows(cfg: SimConfig, X: np.ndarray, ll0: np.ndarray) -> list[_FittedRow]:
-    full, misspec, failed = _lrt_rows(cfg, X, ll0)
+def _fitted_rows(cfg: SimConfig, X: np.ndarray) -> list[_FittedRow]:
+    full, misspec, failed = _lrt_rows(cfg, X)
     kept = zip(full.tolist(), misspec.tolist())
     return [_FittedRow(x, None if bad else next(kept))
             for x, bad in zip(X, failed.tolist())]
@@ -339,8 +322,7 @@ def lrt_statistics(s, cfg: SimConfig) -> tuple[float, float]:
     if isinstance(s, _FittedRow):
         row = s
     else:
-        X = _as_block(s)
-        row = _fitted_rows(cfg, X, _null_loglik(cfg, X))[0]
+        row = _fitted_rows(cfg, _as_block(s))[0]
     if row.stats is None:
         _degenerate_guard(type(cfg.base), row.values)
         raise DegenerateSampleError(
@@ -370,7 +352,7 @@ def _cell_statistics(cfg: SimConfig, dist, cell: int, replications: int):
     fulls, missps, failures = [], [], 0
     for first in range(0, replications, rows):
         X = _draw_block(cfg, dist, cell, range(first, min(first + rows, replications)))
-        for row in _fitted_rows(cfg, X, _null_loglik(cfg, X)):
+        for row in _fitted_rows(cfg, X):
             try:
                 full, misspec = lrt_statistics(row, cfg)
             except DegenerateSampleError:
@@ -448,6 +430,13 @@ class CellResult:
                 for f in fields(self)}
 
 
+def _json_value(value):
+    """A config field as JSON: a kind as its number, a base as its descriptor."""
+    if isinstance(value, Kind):
+        return value.value
+    return value.describe() if isinstance(value, BaseDistribution) else value
+
+
 @dataclass(frozen=True)
 class LrtReport:
     """Full outcome of a power study, serializable to CSV and JSON."""
@@ -484,16 +473,8 @@ class LrtReport:
                 "config_hash": self.config_hash,
                 "seed": self.config.seed,
                 "generator": self.generator,
-                "config": {
-                    "kind": self.config.kind.value,
-                    "base": self.config.base.describe(),
-                    "lambda_grid": list(self.config.lambda_grid),
-                    "n": self.config.n,
-                    "replications": self.config.replications,
-                    "alpha": self.config.alpha,
-                    "calibration_replications": self.config.calibration_replications,
-                    "theta_bounds": [list(b) for b in self.config.theta_bounds],
-                },
+                "config": {f.name: _json_value(getattr(self.config, f.name))
+                           for f in fields(SimConfig) if f.name != "seed"},
                 "crit_full": self.crit_full,
                 "crit_misspec": self.crit_misspec,
                 "cells": [c.as_dict() for c in self.cells],

@@ -38,7 +38,6 @@ from lehmann.lrt_sim import (
     _draw_block,
     _fitted_rows,
     _lrt_rows,
-    _null_loglik,
 )
 
 BASES = [Uniform(), Exponential(1.3), Weibull(2.0, 1.0)]
@@ -71,7 +70,7 @@ def _block(cfg, lam, rows=4):
 def test_block_rows_equal_the_single_sample_path(base, kind, lam):
     cfg = _cfg(base, kind)
     X = _block(cfg, lam)
-    full, misspec, failed = _lrt_rows(cfg, X, _null_loglik(cfg, X))
+    full, misspec, failed = _lrt_rows(cfg, X)
 
     parametric = bool(base.theta)
     # the all-equal row cannot identify base parameters: excluded as a failure
@@ -274,7 +273,7 @@ def _reference_lrt(x, cfg):
 def test_block_rows_equal_the_scalar_reference(base, kind, lam):
     cfg = _cfg(base, kind)
     X = _draw_block(cfg, extend(cfg.base, lam, kind), 2, range(3))
-    full, misspec, failed = _lrt_rows(cfg, X, _null_loglik(cfg, X))
+    full, misspec, failed = _lrt_rows(cfg, X)
     assert not failed.any()
     assert list(zip(full, misspec)) == [_reference_lrt(x, cfg) for x in X]
 
@@ -318,7 +317,7 @@ def test_nesting_holds_on_every_row(base, kind, reps):
 def test_fitted_rows_go_through_lrt_statistics_like_lone_samples(base):
     cfg = _cfg(base, Kind.SECOND)
     X = _block(cfg, 3.0)
-    rows = _fitted_rows(cfg, X, _null_loglik(cfg, X))
+    rows = _fitted_rows(cfg, X)
     assert [row.stats is None for row in rows] == [False] * (len(X) - 1) + [bool(base.theta)]
     for row, x in zip(rows, X):
         if row.stats is None:

@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lehmann import (
     FAMILIES,
@@ -33,9 +35,9 @@ from lehmann import lrt_sim
 from lehmann.cli import main
 from lehmann.lrt_sim import (
     CellResult,
+    LrtReport,
     _draw_block,
     _lrt_rows,
-    _null_loglik,
     canonical_config_text,
 )
 
@@ -194,6 +196,97 @@ def test_canonical_config_text_is_a_config_file(base, box):
     cfg = uniform_cfg(base=base, theta_bounds=box, kind=Kind.SECOND)
     text = canonical_config_text(cfg)
     assert parse_sim_config(text) == cfg
+
+
+_POSITIVE = st.floats(min_value=1e-30, max_value=1e30)
+
+
+@st.composite
+def _sim_configs(draw):
+    base = draw(st.one_of(
+        st.builds(Exponential, _POSITIVE),
+        st.builds(Weibull, _POSITIVE, _POSITIVE),
+        st.just(Uniform()),
+    ))
+    given = st.tuples(*(
+        st.tuples(_POSITIVE, st.floats(min_value=1.001, max_value=1e6)).map(
+            lambda pair: (pair[0], pair[0] * pair[1]))
+        for _ in base.theta
+    ))
+    return SimConfig(
+        kind=draw(st.sampled_from(Kind)),
+        base=base,
+        lambda_grid=tuple(draw(st.lists(_POSITIVE, min_size=1, max_size=5))),
+        n=draw(st.integers(2, 10**6)),
+        replications=draw(st.integers(100, 10**7)),
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        seed=draw(st.integers(-(2**128), 2**128)),
+        calibration_replications=draw(st.integers(1000, 10**7)),
+        theta_bounds=draw(st.one_of(st.none(), given)),
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_sim_configs())
+def test_canonical_config_text_parses_back_to_its_config(cfg):
+    assert parse_sim_config(canonical_config_text(cfg)) == cfg
+
+
+def test_field_table_keys_are_the_config_fields_in_order():
+    assert list(lrt_sim._FIELD_TEXT) == [f.name for f in dataclasses.fields(SimConfig)]
+
+
+# canonical text and the JSON of a cell-free report, recorded before the
+# config reader and writers were derived from one field table
+PINNED_CONFIG_BYTES = {
+    "exponential-given-box": (
+        SimConfig(Kind.FIRST, Exponential(1.5), (1.0, 2.0), 50, 200, 0.05, 42, 1000,
+                  ((0.1, 10.0),)),
+        "alpha = 0.05\nbase = exponential(rate=1.5)\ncalibration_replications = 1000\n"
+        "kind = 1\nlambda_grid = 1.0,2.0\nn = 50\nreplications = 200\nseed = 42\n"
+        "theta_bounds = 0.1:10.0\n",
+        '{"config_hash": "70f2986cdf3ef9a51fd25bdea7105fb18eac7268db3cf278247decf9419799d3", '
+        '"seed": 42, "generator": "pcg64", "config": {"kind": 1, '
+        '"base": "exponential(rate=1.5)", "lambda_grid": [1.0, 2.0], "n": 50, '
+        '"replications": 200, "alpha": 0.05, "calibration_replications": 1000, '
+        '"theta_bounds": [[0.1, 10.0]]}, "crit_full": 4.5, "crit_misspec": 2.25, '
+        '"cells": [], "warnings": []}',
+    ),
+    "weibull-default-box": (
+        SimConfig(Kind.SECOND, Weibull(2.0, 0.5), (0.5, 1.0 / 3.0), 20, 300, 0.1,
+                  2**40 + 3, 2000),
+        "alpha = 0.1\nbase = weibull(shape=2.0,scale=0.5)\ncalibration_replications = 2000\n"
+        "kind = 2\nlambda_grid = 0.5,0.3333333333333333\nn = 20\nreplications = 300\n"
+        "seed = 1099511627779\ntheta_bounds = 0.1:40.0,0.025:10.0\n",
+        '{"config_hash": "39a7de184f84c4449cc5448441735861c75108f1e623ef38ad1ce100718c850f", '
+        '"seed": 1099511627779, "generator": "pcg64", "config": {"kind": 2, '
+        '"base": "weibull(shape=2.0,scale=0.5)", "lambda_grid": [0.5, 0.3333333333333333], '
+        '"n": 20, "replications": 300, "alpha": 0.1, "calibration_replications": 2000, '
+        '"theta_bounds": [[0.1, 40.0], [0.025, 10.0]]}, "crit_full": 4.5, '
+        '"crit_misspec": 2.25, "cells": [], "warnings": []}',
+    ),
+    "uniform": (
+        SimConfig(Kind.FIRST, Uniform(), (3.0,), 1, 100, 0.01, -7, 1000),
+        "alpha = 0.01\nbase = uniform()\ncalibration_replications = 1000\nkind = 1\n"
+        "lambda_grid = 3.0\nn = 1\nreplications = 100\nseed = -7\ntheta_bounds = \n",
+        '{"config_hash": "511651ae9b14e7cc5f36c16fe6e7f5356cd158abf8862ea64a6dbe28c62c424f", '
+        '"seed": -7, "generator": "pcg64", "config": {"kind": 1, "base": "uniform()", '
+        '"lambda_grid": [3.0], "n": 1, "replications": 100, "alpha": 0.01, '
+        '"calibration_replications": 1000, "theta_bounds": []}, "crit_full": 4.5, '
+        '"crit_misspec": 2.25, "cells": [], "warnings": []}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIG_BYTES))
+def test_config_text_and_report_json_bytes_are_pinned(name):
+    # no fitting runs here, so unlike the pinned study reports these bytes
+    # hold on every float fingerprint
+    cfg, text, blob = PINNED_CONFIG_BYTES[name]
+    assert canonical_config_text(cfg) == text
+    report = LrtReport(config=cfg, config_hash=config_hash(cfg),
+                       crit_full=4.5, crit_misspec=2.25, cells=())
+    assert report.to_json() == blob
 
 
 def test_default_theta_bounds_bracket_theta0():
@@ -427,7 +520,7 @@ def test_second_kind_closure_costs_the_misspecified_test_nothing(family, theta0)
                     seed=7, calibration_replications=1000)
     for cell, lam in enumerate(cfg.lambda_grid, start=1):
         X = _draw_block(cfg, extend(cfg.base, lam, cfg.kind), cell, range(cfg.replications))
-        full, misspec, failed = _lrt_rows(cfg, X, _null_loglik(cfg, X))
+        full, misspec, failed = _lrt_rows(cfg, X)
         assert not failed.any() and len(full) == cfg.replications
         assert np.max(np.abs(full - misspec)) <= 1e-9, lam
     for cell in run_power_study(cfg).cells:

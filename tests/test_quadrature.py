@@ -240,7 +240,7 @@ def _wild(t):
 
 def _assert_qags_matches_quad(f, limit):
     rec = _Recorder()
-    value, err, ier = _qags(rec.recorded(f), 0.0, 1.0, ABS_TOL, REL_TOL, limit)
+    value, err, ier = _qags(rec.recorded(f), limit)
     with np.errstate(all="ignore"):
         out = integrate.quad(rec.seen, 0.0, 1.0, epsabs=ABS_TOL, epsrel=REL_TOL,
                              limit=limit, full_output=1)
@@ -277,7 +277,7 @@ def test_nan_band_raises_instead_of_overflowing_the_extrapolation_table():
     def f(t):
         return np.where((t > 0.6) & (t < 0.67), np.nan, t ** -0.1)
 
-    value, err, ier = _qags(f, 0.0, 1.0, ABS_TOL, REL_TOL, MAX_SUBDIVISIONS)
+    value, err, ier = _qags(f, MAX_SUBDIVISIONS)
     assert math.isnan(value) and math.isnan(err) and ier != 0
     with pytest.raises(NumericalError):
         integrate_unit(f)

@@ -2,10 +2,12 @@
 
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 from click.testing import CliRunner
 
+from lehmann import SimConfig
 from lehmann.base_dist import BaseDistribution
 from lehmann.cli import main
 
@@ -35,6 +37,13 @@ def test_cli_examples_run(tmp_path, monkeypatch):
     for args in commands:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, (args, res.output)
+
+
+def test_config_example_keys_are_the_config_fields_in_order():
+    (config,) = _blocks("ini")
+    keys = [line.partition("=")[0].strip() for line in config.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    assert keys == [f.name for f in fields(SimConfig)]
 
 
 def test_family_section_names_the_kernel_contract():
