@@ -126,10 +126,7 @@ def _rules(f, bounds) -> list:
         nodes += [centr + d for d in absc]
         nodes.append(centr)
     x = np.array(nodes)
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.broadcast_to(fx, x.shape)
-    values = fx.tolist()
+    values = np.asarray(f(x), dtype=float).tolist()
     return [_kronrod(values[21 * i:21 * i + 21], h) for i, h in enumerate(halves)]
 
 
@@ -491,10 +488,9 @@ def integrate_unit(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]
     REL_TOL; return ``(value, error_estimate)``.
 
     ``f`` maps a 1-D array of nodes to an array of values of the same
-    shape (a scalar result is broadcast). Raises :class:`NumericalError`
-    carrying the best estimate when the value or its error bound is not
-    finite, or when QUADPACK reports a failure and the error bound is
-    still above tolerance.
+    shape. Raises :class:`NumericalError` carrying the best estimate when
+    the value or its error bound is not finite, or when QUADPACK reports
+    a failure and the error bound is still above tolerance.
     """
     value, err, ier = _qags(f, MAX_SUBDIVISIONS)
     # an infinite error bound never compares above tol * |inf|

@@ -24,12 +24,12 @@ instances are immutable.
 One fused kernel is optional: ``_log_hazard_and_kernel(x, first)``
 returns ln f - w and w, with w = ln F (``first``) or ln(1 - F); the
 likelihood engine forms sum(ln f - w) + n ln(lam) + lam sum(w) from
-them. w has the bits of the separate kernel, ``_log_cdf`` or
-``_log_sf``. The default computes w with that kernel and subtracts it
-from ``_log_pdf``. A family overrides it with a closed form where ln f
-and w share a large term that would cancel, as the second-kind
-Weibull's ``z``. It is called only on samples inside the support, and
-its caller silences floating-point warnings.
+them, and the exponent MLE is -n / sum(w). The default computes w with
+the separate kernel, ``_log_cdf`` or ``_log_sf``, and subtracts it from
+``_log_pdf``. A family overrides it with a closed form where ln f and
+w share a large term that would cancel, as the second-kind Weibull's
+``z``. It is called only on samples inside the support, and its callers
+silence floating-point warnings.
 
 The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the
 optional kernel) are the kernels the likelihood engine uses. They must

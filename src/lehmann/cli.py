@@ -107,7 +107,7 @@ def cmd_sample(dist, lam, n, seed, out, fmt) -> None:
             "seed": s.seed,
             "source": s.source,
             "generator": s.generator,
-            "values": [float(v) for v in s.values],
+            "values": s.values.tolist(),
         }) + "\n", out)
 
 

@@ -16,12 +16,13 @@ Every fit runs on one block engine. An ``(R, n)`` block of samples is
 validated once (family, bounds box, support). A row is a (sample,
 multistart) pair. Every objective evaluation is a single call of the
 family's broadcasting log kernels for all the rows it is given (chunked
-to cap the working set), and the searches step their rows in lockstep:
-a row that has converged keeps its state and is not evaluated again. The
-public fits are the R = 1 case, and :mod:`lehmann.lrt_sim` fits all
-replications of a power-study cell at once. Each row does the arithmetic
-it would do alone, so a row of a block gives the same bits as its R = 1
-fit.
+to cap the working set), and the searches step their rows in lockstep.
+A Newton row that has stopped is not evaluated again; a Brent row whose
+bracket has closed keeps its state behind a mask and is evaluated at its
+best point while the other rows go on. The public fits are the R = 1
+case, and :mod:`lehmann.lrt_sim` fits all replications of a power-study
+cell at once. Each row does the arithmetic it would do alone, so a row
+of a block gives the same bits as its R = 1 fit.
 
 ``base_family`` arguments accept a registered family id, the family
 class, or an instance (its class is used).
@@ -38,7 +39,7 @@ import numpy as np
 
 from .base_dist import FAMILIES, BaseDistribution, _finite_positive
 from .errors import DegenerateSampleError, DomainError, SupportError
-from .extend import Kind, _coerce_kind, _kernel_log, sample_values
+from .extend import Kind, _coerce_kind, sample_values
 
 # line searches run on [0, 1] and close at about this width (scipy's xatol)
 _GOLDEN_TOL = 1e-8
@@ -219,7 +220,10 @@ def mle_lambda(kind, base_family, theta, s) -> float:
     smaller than 1e-300 in magnitude (all F(x_j) at the opposite end).
     """
     kind, base, x = _validated_point(kind, base_family, theta, s)
-    total = float(_kernel_log(kind, base, x).sum(axis=1)[0])
+    # the w the likelihood engine reads, under the same warnings policy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = base._log_hazard_and_kernel(x, kind is Kind.FIRST)[1]
+    total = float(w.sum(axis=1)[0])
     if _saturated(total):
         raise DegenerateSampleError(
             f"sum of log-CDF terms is {total!r}; the sample saturates the "

@@ -285,7 +285,7 @@ def sample_to_csv(s: Sample) -> str:
         f"# generator: {s.generator}",
         "value",
     ]
-    lines.extend(repr(float(v)) for v in s.values)
+    lines.extend(map(repr, sample_values(s).tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -264,9 +264,9 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray):
     in the full fit, so full >= misspec >= 0 holds on every kept row as
     a float comparison, not just in expectation. A row fails when its
     values are all equal (base parameters unidentified) or when the
-    exponent MLE is undefined at the full fit. Returns ``(full,
-    misspec, failed)``: the statistics of the kept rows in row order and
-    the mask of failed rows.
+    exponent MLE is undefined at the full fit. Returns ``(stats,
+    failed)``: the ``(kept, 2)`` array of (full, misspec) statistics of
+    the kept rows in row order, and the mask of failed rows.
     """
     _check_support(cfg.base, X)
     ll0 = _evaluate(cfg.kind, cfg.base, X, 1.0)[0]
@@ -288,7 +288,7 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray):
     full = np.where(full < restr, restr, full)
     failed[keep] = degenerate
     ok = ~degenerate
-    return 2.0 * (full[ok] - ll0[ok]), 2.0 * (restr[ok] - ll0[ok]), failed
+    return 2.0 * (np.column_stack((full, restr))[ok] - ll0[ok, None]), failed
 
 
 class _FittedRow(NamedTuple):
@@ -300,8 +300,8 @@ class _FittedRow(NamedTuple):
 
 
 def _fitted_rows(cfg: SimConfig, X: np.ndarray) -> list[_FittedRow]:
-    full, misspec, failed = _lrt_rows(cfg, X)
-    kept = zip(full.tolist(), misspec.tolist())
+    stats, failed = _lrt_rows(cfg, X)
+    kept = map(tuple, stats.tolist())
     return [_FittedRow(x, None if bad else next(kept))
             for x, bad in zip(X, failed.tolist())]
 
@@ -345,22 +345,19 @@ def _cell_statistics(cfg: SimConfig, dist, cell: int, replications: int):
 
     Replications are drawn and fitted a block at a time; each one then
     goes through :func:`lrt_statistics`, and a failed fit is excluded.
-    Returns ``(full, misspec, failures)``.
+    Returns ``(stats, failures)``, stats the ``(kept, 2)`` (full, misspec) rows.
     """
     rows = max(1, _BLOCK_VALUES // cfg.n)
     np.empty(_TRIM_THRESHOLD_PROBE)
-    fulls, missps, failures = [], [], 0
+    stats, failures = [], 0
     for first in range(0, replications, rows):
         X = _draw_block(cfg, dist, cell, range(first, min(first + rows, replications)))
         for row in _fitted_rows(cfg, X):
             try:
-                full, misspec = lrt_statistics(row, cfg)
+                stats.append(lrt_statistics(row, cfg))
             except DegenerateSampleError:
                 failures += 1
-                continue
-            fulls.append(full)
-            missps.append(misspec)
-    return np.array(fulls, dtype=float), np.array(missps, dtype=float), failures
+    return np.array(stats, dtype=float).reshape(-1, 2), failures
 
 
 def calibrate(cfg: SimConfig) -> tuple[float, float]:
@@ -370,17 +367,14 @@ def calibrate(cfg: SimConfig) -> tuple[float, float]:
     `stat > crit` has size at most alpha on the calibration draws.
     Deterministic given cfg.seed.
     """
-    fulls, missps, failures = _cell_statistics(
-        cfg, cfg.base, _CAL_CELL, cfg.calibration_replications
-    )
-    if fulls.size == 0:
+    stats, failures = _cell_statistics(cfg, cfg.base, _CAL_CELL, cfg.calibration_replications)
+    if stats.size == 0:
         raise NumericalError("every calibration replication failed to fit")
     if failures:
         logger.warning("calibration: %d of %d replications failed and were excluded",
                        failures, cfg.calibration_replications)
     q = 1.0 - cfg.alpha
-    crit_full = float(np.quantile(fulls, q, method="higher"))
-    crit_misspec = float(np.quantile(missps, q, method="higher"))
+    crit_full, crit_misspec = np.quantile(stats, q, axis=0, method="higher").tolist()
 
     if logger.isEnabledFor(logging.INFO):
         # imported here: scipy.special is a slow import the results never need
@@ -391,7 +385,7 @@ def calibrate(cfg: SimConfig) -> tuple[float, float]:
         logger.info(
             "calibrated crit_full=%.4f (Wilks chi2 df=%d would give %.4f; "
             "diagnostic only), crit_misspec=%.4f, mean null full stat=%.3f",
-            crit_full, df_full, wilks, crit_misspec, float(np.mean(fulls)),
+            crit_full, df_full, wilks, crit_misspec, float(np.mean(stats[:, 0])),
         )
     return crit_full, crit_misspec
 
@@ -442,12 +436,15 @@ class LrtReport:
     """Full outcome of a power study, serializable to CSV and JSON."""
 
     config: SimConfig
-    config_hash: str
     crit_full: float
     crit_misspec: float
     cells: tuple[CellResult, ...]
     warnings: tuple[str, ...] = ()
     generator: str = GENERATOR_ID
+
+    @property
+    def config_hash(self) -> str:
+        return config_hash(self.config)
 
     def to_csv(self) -> str:
         lines = [
@@ -497,10 +494,10 @@ def run_power_study(cfg: SimConfig) -> LrtReport:
     cells = []
     warnings: list[str] = []
     for i, lam in enumerate(cfg.lambda_grid):
-        fulls, missps, failures = _cell_statistics(
+        stats, failures = _cell_statistics(
             cfg, extend(base, lam, cfg.kind), i + 1, cfg.replications
         )
-        kept = fulls.size
+        kept = len(stats)
         if kept == 0:
             warnings.append(f"cell lambda={lam!r}: all replications failed")
             p_f = p_m = se_f = se_m = mlr = se_mlr = math.nan
@@ -510,11 +507,10 @@ def run_power_study(cfg: SimConfig) -> LrtReport:
                     f"cell lambda={lam!r}: {failures} of {cfg.replications} "
                     "replications failed to fit (over 1%)"
                 )
-            p_f = int(np.count_nonzero(fulls > crit_full)) / kept
-            p_m = int(np.count_nonzero(missps > crit_misspec)) / kept
-            se_f = math.sqrt(p_f * (1.0 - p_f) / kept)
-            se_m = math.sqrt(p_m * (1.0 - p_m) / kept)
-            ratios = (fulls - missps) / (2.0 * cfg.n)
+            power = np.count_nonzero(stats > (crit_full, crit_misspec), axis=0) / kept
+            p_f, p_m = power.tolist()
+            se_f, se_m = np.sqrt(power * (1.0 - power) / kept).tolist()
+            ratios = (stats[:, 0] - stats[:, 1]) / (2.0 * cfg.n)
             mlr = float(np.mean(ratios))
             se_mlr = (
                 float(np.std(ratios, ddof=1)) / math.sqrt(kept)
@@ -537,7 +533,6 @@ def run_power_study(cfg: SimConfig) -> LrtReport:
         )
     return LrtReport(
         config=cfg,
-        config_hash=config_hash(cfg),
         crit_full=crit_full,
         crit_misspec=crit_misspec,
         cells=tuple(cells),

@@ -335,9 +335,10 @@ def _separate_kernels(d, x, first):
     _Rayleigh(1.5),  # implements the contract only, so it takes the default
 ], ids=lambda d: d.describe())
 def test_hazard_kernel_is_ln_f_less_the_kernel(d, first):
-    # w has the bits of the separate kernel, so the exponent MLE is the
-    # same; ln f - w agrees with the subtraction up to the digits the
-    # subtraction loses to |ln f| + |w| (the closed forms keep them)
+    # the bundled families give w the bits of the separate kernel, so the
+    # fits, which read w, agree with the powered law's public kernels,
+    # which read _log_cdf or _log_sf; ln f - w agrees with the subtraction
+    # up to the digits it loses to |ln f| + |w| (the closed forms keep them)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hazard, w = d._log_hazard_and_kernel(HAZARD_X, first)
     lp, kernel = _separate_kernels(d, HAZARD_X, first)

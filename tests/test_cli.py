@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from lehmann import (
     Exponential,
     Kind,
+    Sample,
     Uniform,
     Weibull,
     extend,
@@ -19,6 +20,7 @@ from lehmann import (
     sample,
     sample_to_csv,
 )
+from lehmann import cli
 from lehmann.cli import main
 
 UNIFORM_SIM_CONFIG = """\
@@ -71,6 +73,24 @@ def test_sample_json_format(runner):
     assert blob["source"] == "uniform()"
     assert blob["generator"] == "pcg64"
     assert len(blob["values"]) == 3
+
+
+# float edge cases: signed zero, the least subnormal, nan, infinities, huge
+EDGE_VALUES = [-0.0, 5e-324, math.nan, math.inf, -math.inf, 1e308, 0.1]
+
+
+@pytest.mark.parametrize("fmt, want", [
+    ("csv", "# seed: 4\n# source: uniform()\n# generator: pcg64\nvalue\n"
+            "-0.0\n5e-324\nnan\ninf\n-inf\n1e+308\n0.1\n"),
+    ("json", '{"seed": 4, "source": "uniform()", "generator": "pcg64", '
+             '"values": [-0.0, 5e-324, NaN, Infinity, -Infinity, 1e+308, 0.1]}\n'),
+])
+def test_sample_output_bytes_are_pinned_on_float_edges(runner, monkeypatch, fmt, want):
+    edges = Sample(np.array(EDGE_VALUES), 4, "uniform()")
+    monkeypatch.setattr(cli, "draw_sample", lambda dist, n, seed: edges)
+    res = invoke(runner, ["sample", "--dist", "uniform()", "--n", "7",
+                          "--seed", "4", "--format", fmt])
+    assert res.output == want
 
 
 def test_sample_out_writes_file(runner, tmp_path):

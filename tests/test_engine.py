@@ -70,7 +70,8 @@ def _block(cfg, lam, rows=4):
 def test_block_rows_equal_the_single_sample_path(base, kind, lam):
     cfg = _cfg(base, kind)
     X = _block(cfg, lam)
-    full, misspec, failed = _lrt_rows(cfg, X)
+    stats, failed = _lrt_rows(cfg, X)
+    full, misspec = stats.T
 
     parametric = bool(base.theta)
     # the all-equal row cannot identify base parameters: excluded as a failure
@@ -273,7 +274,8 @@ def _reference_lrt(x, cfg):
 def test_block_rows_equal_the_scalar_reference(base, kind, lam):
     cfg = _cfg(base, kind)
     X = _draw_block(cfg, extend(cfg.base, lam, kind), 2, range(3))
-    full, misspec, failed = _lrt_rows(cfg, X)
+    stats, failed = _lrt_rows(cfg, X)
+    full, misspec = stats.T
     assert not failed.any()
     assert list(zip(full, misspec)) == [_reference_lrt(x, cfg) for x in X]
 
@@ -306,9 +308,8 @@ def test_objective_calls_are_chunked_without_changing_a_bit(monkeypatch):
 def test_nesting_holds_on_every_row(base, kind, reps):
     cfg = _cfg(base, kind, n=20)
     for cell, lam in enumerate((1.0, 0.4, 2.5)):
-        full, misspec, failures = _cell_statistics(
-            cfg, extend(cfg.base, lam, kind), cell, reps
-        )
+        stats, failures = _cell_statistics(cfg, extend(cfg.base, lam, kind), cell, reps)
+        full, misspec = stats.T
         assert failures == 0 and full.size == reps
         assert np.all(full >= misspec) and np.all(misspec >= 0.0)
 

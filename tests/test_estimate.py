@@ -103,6 +103,25 @@ def test_mle_lambda_degenerate_zero_cdf():
         mle_lambda(Kind.FIRST, Exponential, (1.0,), [0.0, 1.0])
 
 
+@dataclass(frozen=True)
+class _NudgedKernel(Exponential):
+    """Test-only: the fused kernel's w sits one ulp below ``_log_cdf``."""
+
+    def _log_hazard_and_kernel(self, x, first):
+        w = np.nextafter(self._log_cdf(x) if first else self._log_sf(x), -np.inf)
+        return self._log_pdf(x) - w, w
+
+
+def test_exponent_mle_sums_the_fused_kernel():
+    # the profile search and the reported lambda_hat read the same w
+    x = sample(extend(Exponential(1.3), 2.0), 200, 5).values
+    fit = fit_full(Kind.FIRST, _NudgedKernel, x, theta_bounds=EXP_BOUNDS)
+    base = _NudgedKernel.from_theta(fit.theta_hat)
+    with np.errstate(divide="ignore"):
+        w = base._log_hazard_and_kernel(x[None, :], True)[1]
+    assert fit.lambda_hat == -x.size / float(w.sum(axis=1)[0])
+
+
 def test_closed_form_is_profile_max():
     x = sample(extend(Exponential(1.0), 3.0), 400, 9).values
     theta = (1.1,)

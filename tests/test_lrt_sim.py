@@ -284,9 +284,17 @@ def test_config_text_and_report_json_bytes_are_pinned(name):
     # hold on every float fingerprint
     cfg, text, blob = PINNED_CONFIG_BYTES[name]
     assert canonical_config_text(cfg) == text
-    report = LrtReport(config=cfg, config_hash=config_hash(cfg),
-                       crit_full=4.5, crit_misspec=2.25, cells=())
+    report = LrtReport(config=cfg, crit_full=4.5, crit_misspec=2.25, cells=())
     assert report.to_json() == blob
+
+
+def test_report_hash_follows_its_config():
+    cfg, other = uniform_cfg(), uniform_cfg(seed=8)
+    report = dataclasses.replace(
+        LrtReport(config=cfg, crit_full=4.5, crit_misspec=2.25, cells=()), config=other)
+    assert json.loads(report.to_json())["config_hash"] == config_hash(other)
+    assert report.to_csv().startswith(f"# config_hash: {config_hash(other)}\n")
+    assert "config_hash" not in {f.name for f in dataclasses.fields(LrtReport)}
 
 
 def test_default_theta_bounds_bracket_theta0():
@@ -470,7 +478,7 @@ def test_all_failed_cell_reports_nan_statistics(monkeypatch):
 
     def fail_cell_two(cfg, dist, cell, replications):
         if cell == 2:
-            return np.array([]), np.array([]), replications
+            return np.empty((0, 2)), replications
         return real(cfg, dist, cell, replications)
 
     monkeypatch.setattr(lrt_sim, "_cell_statistics", fail_cell_two)
@@ -520,7 +528,8 @@ def test_second_kind_closure_costs_the_misspecified_test_nothing(family, theta0)
                     seed=7, calibration_replications=1000)
     for cell, lam in enumerate(cfg.lambda_grid, start=1):
         X = _draw_block(cfg, extend(cfg.base, lam, cfg.kind), cell, range(cfg.replications))
-        full, misspec, failed = _lrt_rows(cfg, X)
+        stats, failed = _lrt_rows(cfg, X)
+        full, misspec = stats.T
         assert not failed.any() and len(full) == cfg.replications
         assert np.max(np.abs(full - misspec)) <= 1e-9, lam
     for cell in run_power_study(cfg).cells:
