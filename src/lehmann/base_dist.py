@@ -47,6 +47,7 @@ parameter exponent; write the power as ``exp(k * log(y))``.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar
@@ -80,8 +81,15 @@ _OPEN_LO = float(np.nextafter(0.0, 1.0))
 _OPEN_HI = float(np.nextafter(1.0, 0.0))
 
 
+def _is_real(value) -> bool:
+    # a bool is an int and float("2") parses, but neither is a number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite_positive(name: str, value) -> float:
-    """``value`` as a float; DomainError unless it is finite and > 0."""
+    """``value`` as a float; DomainError unless it is a finite real > 0."""
+    if not _is_real(value):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     v = float(value)
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"{name} must be finite and > 0, got {v!r}")
@@ -246,6 +254,15 @@ def register_family(cls):
     """
     FAMILIES[cls.family_id] = cls
     return cls
+
+
+def lookup_family(name: str) -> type[BaseDistribution]:
+    """The family registered under ``name``; DomainError if there is none."""
+    family = FAMILIES.get(name)
+    if family is None:
+        raise DomainError(
+            f"unknown base family {name!r} (known: {', '.join(sorted(FAMILIES))})")
+    return family
 
 
 @register_family

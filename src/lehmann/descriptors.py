@@ -17,15 +17,16 @@ Errors carry the character position and the tokens that were expected.
 from __future__ import annotations
 
 import re
+from functools import partial
 
-from .base_dist import FAMILIES, BaseDistribution
+from .base_dist import FAMILIES, BaseDistribution, lookup_family
 from .errors import DomainError, ParseError
 from .extend import ExtendedDistribution, Kind
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
-_KIND_BY_TAG = {"lehmann1": Kind.FIRST, "lehmann2": Kind.SECOND}
+_KIND_BY_TAG = {kind.tag: kind for kind in Kind}
 
 
 class _Scanner:
@@ -98,51 +99,35 @@ def _parse_descriptor(sc: _Scanner):
     name = sc.match(_NAME, "a distribution name")
     args = _parse_args(sc)
 
+    def fail(message, expected=None):
+        return ParseError(message, text=sc.text, position=head_pos, expected=expected)
+
     if name in _KIND_BY_TAG:
         if set(args) != {"base", "lambda"}:
-            raise ParseError(
-                f"{name} takes exactly base=<descriptor> and lambda=<real>",
-                text=sc.text, position=head_pos, expected="base=..., lambda=...",
-            )
-        base = args["base"]
-        lam = args["lambda"]
-        if not isinstance(base, BaseDistribution):
-            raise ParseError(
-                "base= must be a base-family descriptor (compose exponents "
-                "instead of nesting lehmann1/lehmann2)",
-                text=sc.text, position=head_pos,
-            )
-        if not isinstance(lam, float):
-            raise ParseError(
-                "lambda= must be a number", text=sc.text, position=head_pos
-            )
+            raise fail(f"{name} takes exactly base=<descriptor> and lambda=<real>",
+                       "base=..., lambda=...")
+        if not isinstance(args["base"], BaseDistribution):
+            raise fail("base= must be a base-family descriptor (compose exponents "
+                       "instead of nesting lehmann1/lehmann2)")
+        if not isinstance(args["lambda"], float):
+            raise fail("lambda= must be a number")
+        make = partial(ExtendedDistribution, args["base"], args["lambda"], _KIND_BY_TAG[name])
+    else:
         try:
-            return ExtendedDistribution(base, lam, _KIND_BY_TAG[name])
+            family = lookup_family(name)
         except DomainError as exc:
-            raise ParseError(str(exc), text=sc.text, position=head_pos) from exc
-
-    family = FAMILIES.get(name)
-    if family is None:
-        known = ", ".join(sorted(FAMILIES) + sorted(_KIND_BY_TAG))
-        raise ParseError(
-            f"unknown distribution {name!r}",
-            text=sc.text, position=head_pos, expected=f"one of: {known}",
-        )
-    bad = set(args) - set(family.param_names)
-    if bad:
-        raise ParseError(
-            f"unknown parameter(s) {sorted(bad)} for {name}",
-            text=sc.text, position=head_pos,
-            expected=", ".join(family.param_names) or "no parameters",
-        )
-    if any(not isinstance(v, float) for v in args.values()):
-        raise ParseError(
-            f"parameters of {name} must be numbers", text=sc.text, position=head_pos
-        )
+            raise fail(str(exc), f"a base family, {' or '.join(_KIND_BY_TAG)}") from exc
+        bad = set(args) - set(family.param_names)
+        if bad:
+            raise fail(f"unknown parameter(s) {sorted(bad)} for {name}",
+                       ", ".join(family.param_names) or "no parameters")
+        if any(not isinstance(v, float) for v in args.values()):
+            raise fail(f"parameters of {name} must be numbers")
+        make = partial(family, **args)
     try:
-        return family(**args)
+        return make()
     except DomainError as exc:
-        raise ParseError(str(exc), text=sc.text, position=head_pos) from exc
+        raise fail(str(exc)) from exc
 
 
 def parse_distribution(text: str):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base_dist import FAMILIES, BaseDistribution, _finite_positive
+from .base_dist import BaseDistribution, _finite_positive, _is_real, lookup_family
 from .errors import DegenerateSampleError, DomainError, SupportError
 from .extend import Kind, _coerce_kind, sample_values
 
@@ -93,12 +93,7 @@ class FitResult:
 
 def _resolve_family(base_family) -> type[BaseDistribution]:
     if isinstance(base_family, str):
-        family = FAMILIES.get(base_family)
-        if family is None:
-            raise DomainError(
-                f"unknown base family {base_family!r}; known: {sorted(FAMILIES)}"
-            )
-        return family
+        return lookup_family(base_family)
     if isinstance(base_family, BaseDistribution):
         return type(base_family)
     if isinstance(base_family, type) and issubclass(base_family, BaseDistribution):
@@ -516,9 +511,14 @@ def _checked_box(family, bounds):
                 f"theta_bounds required: the family has parameters {family.param_names}"
             )
         bounds = ()
+    # a lone number or string is no sequence of pairs, and fails as one bad pair
+    pairs = bounds if np.iterable(bounds) and not isinstance(bounds, str) else [bounds]
     out = []
-    for lo, hi in bounds:
-        lo, hi = float(lo), float(hi)
+    for pair in pairs:
+        pair = tuple(pair) if np.iterable(pair) and not isinstance(pair, str) else ()
+        if len(pair) != 2 or not all(map(_is_real, pair)):
+            raise DomainError(f"theta_bounds must be (lo, hi) pairs of numbers, got {bounds!r}")
+        lo, hi = float(pair[0]), float(pair[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"theta_bounds must be finite with lo < hi, got {(lo, hi)}")
         out.append((lo, hi))

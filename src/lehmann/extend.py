@@ -92,8 +92,9 @@ def _kernel_log(kind: Kind, base, x):
 class ExtendedDistribution(_Law):
     """The law G(x) = F(x)**lam (first kind) or 1-(1-F(x))**lam (second).
 
-    ``lam`` must be strictly positive; ``lam == 1`` reproduces the base
-    exactly, since every kernel then is the base kernel. The support
+    ``lam`` must be strictly positive. ``lam == 1`` reproduces the base
+    exactly: ``__post_init__`` decides it once, binding the base's own
+    kernels to the instance, so no kernel below tests for it. The support
     equals the base support for every ``lam``. Instances are immutable
     and safe to share across threads.
     """
@@ -111,6 +112,9 @@ class ExtendedDistribution(_Law):
                 self.lam,
                 _LAMBDA_SANITY_CAP,
             )
+        if self.lam == 1.0:
+            for name in ("_log_pdf", "_log_sf", "_log_cdf", "_cdf", "_pdf", "_quantile"):
+                object.__setattr__(self, name, getattr(self.base, name))
 
     @property
     def support(self) -> Support:
@@ -134,8 +138,6 @@ class ExtendedDistribution(_Law):
             return self.lam * _kernel_log(self.kind, self.base, x)
 
     def _log_pdf(self, x):
-        if self.lam == 1.0:
-            return self.base._log_pdf(x)
         # w = -inf with lam < 1 gives +inf: the boundary divergence; outside
         # the support lp = -inf must win over it. Huge x overflows to -inf.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -145,31 +147,18 @@ class ExtendedDistribution(_Law):
         return np.where(np.isneginf(lp), -np.inf, out)
 
     def _log_sf(self, x):
-        if self.lam == 1.0:
-            return self.base._log_sf(x)
         z = self._z(x)
         return z if self.kind is Kind.SECOND else log1mexp(z)
 
     def _log_cdf(self, x):
-        if self.lam == 1.0:
-            return self.base._log_cdf(x)
         z = self._z(x)
         return z if self.kind is Kind.FIRST else log1mexp(z)
 
     def _cdf(self, x):
-        if self.lam == 1.0:
-            return self.base._cdf(x)
         z = self._z(x)
         return np.exp(z) if self.kind is Kind.FIRST else -np.expm1(z)
 
-    def _pdf(self, x):
-        if self.lam == 1.0:
-            return self.base._pdf(x)
-        return super()._pdf(x)
-
     def _quantile(self, u):
-        if self.lam == 1.0:
-            return self.base._quantile(u)
         first = self.kind is Kind.FIRST
         return self._base_inverse((np.log(u) if first else np.log1p(-u)) / self.lam)
 

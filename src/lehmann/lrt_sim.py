@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base_dist import BaseDistribution, _finite_positive
+from .base_dist import BaseDistribution, _finite_positive, _is_real
 from .descriptors import parse_base
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
 from .estimate import (
@@ -119,6 +119,9 @@ class SimConfig:
         object.__setattr__(self, "kind", _coerce_kind(self.kind))
         if not isinstance(self.base, BaseDistribution):
             raise DomainError(f"base must be a base distribution, got {self.base!r}")
+        if isinstance(self.lambda_grid, str) or not np.iterable(self.lambda_grid):
+            raise DomainError(
+                f"lambda_grid must be a sequence of numbers, got {self.lambda_grid!r}")
         object.__setattr__(self, "lambda_grid", tuple(
             _finite_positive("every lambda_grid value", v) for v in self.lambda_grid
         ))
@@ -131,7 +134,7 @@ class SimConfig:
             object.__setattr__(self, name, operator.index(value))
         if not self.lambda_grid:
             raise DomainError("lambda_grid must be nonempty")
-        if not isinstance(self.alpha, numbers.Real) or isinstance(self.alpha, bool):
+        if not _is_real(self.alpha):
             raise DomainError(f"alpha must be a number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
@@ -153,12 +156,11 @@ class SimConfig:
 
 
 def _parse_kind(text: str) -> Kind:
-    kind = {"1": Kind.FIRST, "first": Kind.FIRST, "2": Kind.SECOND,
-            "second": Kind.SECOND}.get(text.lower())
-    if kind is None:
-        raise ParseError(f"config key 'kind': cannot parse {text!r}",
-                         expected="1, 2, first or second")
-    return kind
+    # a kind is named by its number or its name: 1, first, 2 or second
+    names = {name: kind for kind in Kind for name in (str(kind.value), kind.name.lower())}
+    if text.lower() not in names:
+        raise ParseError(f"config key 'kind': cannot parse {text!r}", expected=", ".join(names))
+    return names[text.lower()]
 
 
 def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
@@ -242,10 +244,14 @@ def parse_sim_config(text: str) -> SimConfig:
         raise ParseError(f"invalid config: {exc}") from exc
 
 
+def _field_text(cfg: SimConfig, key: str) -> str:
+    """One config field's value as the config file writes it."""
+    return _FIELD_TEXT[key][1](getattr(cfg, key))
+
+
 def canonical_config_text(cfg: SimConfig) -> str:
     """Deterministic key-sorted rendering used for hashing and echoing."""
-    return "".join(f"{key} = {render(getattr(cfg, key))}\n"
-                   for key, (_, render) in sorted(_FIELD_TEXT.items()))
+    return "".join(f"{key} = {_field_text(cfg, key)}\n" for key in sorted(_FIELD_TEXT))
 
 
 def config_hash(cfg: SimConfig) -> str:
@@ -451,12 +457,9 @@ class LrtReport:
             f"# config_hash: {self.config_hash}",
             f"# seed: {self.config.seed}",
             f"# generator: {self.generator}",
-            f"# base: {self.config.base.describe()}",
-            f"# kind: {self.config.kind.value}",
-            f"# n: {self.config.n}",
-            f"# replications: {self.config.replications}",
-            f"# alpha: {self.config.alpha!r}",
         ]
+        lines.extend(f"# {key}: {_field_text(self.config, key)}"
+                     for key in ("base", "kind", "n", "replications", "alpha"))
         lines.extend(f"# warning: {w}" for w in self.warnings)
         rows = [c.as_dict() for c in self.cells]
         if rows:

@@ -9,14 +9,19 @@ import pytest
 from click.testing import CliRunner
 
 from lehmann import (
+    DomainError,
     Exponential,
     Kind,
+    ParseError,
     Sample,
     Uniform,
     Weibull,
     extend,
     fit_full,
+    loglik,
     mle_lambda,
+    parse_distribution,
+    parse_sim_config,
     sample,
     sample_to_csv,
 )
@@ -254,6 +259,26 @@ def test_simulate_bad_config_is_usage_error(runner, tmp_path):
     cfg.write_text(UNIFORM_SIM_CONFIG.replace("kind = first", "kind = seventh"))
     res = invoke(runner, ["simulate", "--config", str(cfg)])
     assert res.exit_code == 2
+
+
+def test_an_unknown_family_gives_one_message_on_every_path(runner, tmp_path):
+    core = "unknown base family 'cauchy'"
+    with pytest.raises(DomainError, match=core):
+        fit_full(Kind.FIRST, "cauchy", [0.5, 1.0], theta_bounds=((0.1, 10.0),))
+    with pytest.raises(DomainError, match=core):
+        loglik(Kind.FIRST, "cauchy", (1.0,), 2.0, [0.5, 1.0])
+    with pytest.raises(ParseError, match=core) as parsed:
+        parse_distribution("lehmann1(base=cauchy(),lambda=2.0)")
+    assert parsed.value.position == len("lehmann1(base=")
+    assert parsed.value.expected == "a base family, lehmann1 or lehmann2"
+    text = UNIFORM_SIM_CONFIG.replace("uniform()", "cauchy(scale=1.0)")
+    with pytest.raises(ParseError, match=core):
+        parse_sim_config(text)
+    cfg = tmp_path / "cauchy.cfg"
+    cfg.write_text(text)
+    res = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert core in res.output
 
 
 def test_simulate_too_few_calibration_replications_is_usage_error(runner, tmp_path):

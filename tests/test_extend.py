@@ -1,7 +1,9 @@
 """Powered laws: evaluation, composition, sampling, moments, CSV."""
 
+import dataclasses
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -45,16 +47,59 @@ def test_pdf_examples():
     assert round(g.pdf(1.0), 6) == 0.149361
 
 
-def test_lambda_one_is_the_base_exactly():
-    x = np.linspace(-0.5, 3.0, 40)
+_KERNELS = ("_log_pdf", "_log_sf", "_log_cdf", "_cdf", "_pdf", "_quantile")
+
+
+def _takes_the_base_kernels(g):
+    """Whether every kernel of g is its base's own bound method."""
+    return all(getattr(g, name) == getattr(g.base, name) for name in _KERNELS)
+
+
+@pytest.mark.parametrize("base", BASES + [Exponential(2.5), Weibull(0.7, 3.0), Weibull(1.0, 0.5)],
+                         ids=lambda b: b.describe())
+@pytest.mark.parametrize("kind", [Kind.FIRST, Kind.SECOND])
+def test_lambda_one_is_the_base_exactly(base, kind):
+    # the support ends and their neighbours on either side (an infinite end is open)
+    ends = [e for e in (base.support.lower, base.support.upper) if math.isfinite(e)]
+    x = np.concatenate([np.linspace(-0.5, 3.0, 40), [-np.inf, np.inf, np.nan], ends,
+                        np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
     u = np.linspace(0.01, 0.99, 40)
-    for base in BASES + [Exponential(2.5), Weibull(0.7, 3.0)]:
-        for kind in Kind:
-            g = extend(base, 1.0, kind)
-            for method in ("pdf", "log_pdf", "cdf", "log_cdf", "log_sf", "quantile"):
-                arg = u if method == "quantile" else x
-                got, want = getattr(g, method)(arg), getattr(base, method)(arg)
-                assert np.array_equal(got, want), (g.describe(), method)
+    g = extend(base, 1.0, kind)
+    assert _takes_the_base_kernels(g)
+    for method in ("pdf", "log_pdf", "cdf", "log_cdf", "log_sf", "quantile"):
+        arg = u if method == "quantile" else x
+        got, want = getattr(g, method)(arg), getattr(base, method)(arg)
+        assert got.tobytes() == want.tobytes(), (g.describe(), method)
+    assert not any(name in vars(extend(base, 2.0, kind)) for name in _KERNELS)
+
+
+def test_compose_and_replace_rebind_the_kernels_at_lambda_one():
+    base = Weibull(0.7, 3.0)
+    for kind in Kind:
+        g = extend(base, 2.0, kind)
+        one = g.compose(0.5)
+        assert one == extend(base, 1.0, kind) and _takes_the_base_kernels(one)
+        assert one.compose(3.0) == extend(base, 3.0, kind)
+        assert not any(name in vars(one.compose(3.0)) for name in _KERNELS)
+        assert _takes_the_base_kernels(dataclasses.replace(g, lam=1.0))
+        assert not any(name in vars(dataclasses.replace(one, lam=2.0)) for name in _KERNELS)
+        moved = dataclasses.replace(one, base=Exponential(2.0))
+        assert _takes_the_base_kernels(moved)
+        assert moved._log_pdf.__self__ is moved.base
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_pickle_round_trip_keeps_the_law_and_its_kernels(lam):
+    x = np.array([-1.0, 0.0, 0.3, 1.0, 2.5, np.inf])
+    for kind in Kind:
+        g = extend(Weibull(0.7, 3.0), lam, kind)
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and hash(h) == hash(g)
+        assert _takes_the_base_kernels(h) == (lam == 1.0)
+        if lam == 1.0:
+            assert all(getattr(h, name).__self__ is h.base for name in _KERNELS)
+        for method in ("pdf", "log_pdf", "cdf", "log_cdf", "log_sf"):
+            assert getattr(h, method)(x).tobytes() == getattr(g, method)(x).tobytes()
 
 
 def test_quantile_examples():
@@ -112,6 +157,13 @@ def test_lambda_validation():
         extend(Uniform(), -2.0)
     with pytest.raises(DomainError):
         extend(Uniform(), math.nan)
+    # True == 1 and float("2") parses, but neither is an exponent
+    with pytest.raises(DomainError, match="must be a real number"):
+        extend(Uniform(), True)
+    with pytest.raises(DomainError, match="must be a real number"):
+        extend(Uniform(), "2")
+    with pytest.raises(DomainError, match="must be a real number"):
+        extend(Uniform(), 2.0).compose(np.bool_(True))
     with pytest.raises(DomainError):
         ExtendedDistribution(Uniform(), 2.0, kind=3)
     # True == 1 and 1.0 == 1, but neither names a kind

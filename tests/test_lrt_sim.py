@@ -26,6 +26,7 @@ from lehmann import (
     calibrate,
     config_hash,
     extend,
+    fit_full,
     lrt_statistics,
     parse_sim_config,
     power_loss_closed,
@@ -87,6 +88,29 @@ def test_config_validation():
         uniform_cfg(base="cauchy")
     with pytest.raises(DomainError):
         uniform_cfg(base=Exponential(1.0), theta_bounds=((0.1, 10.0), (0.1, 10.0)))
+
+
+@pytest.mark.parametrize("grid", ["12", "1.5", 2.0, ("1.5",), (True,)])
+def test_config_rejects_a_lambda_grid_that_is_no_sequence_of_numbers(grid):
+    # "12" used to become (1.0, 2.0), "1.5" raised a bare ValueError, 2.0 a TypeError
+    with pytest.raises(DomainError, match="lambda_grid"):
+        uniform_cfg(lambda_grid=grid)
+
+
+@pytest.mark.parametrize("box", ["0.1:10", 0.1, (0.1, 10.0), (("0.1", "10"),),
+                                 ((0.1, 10.0, 20.0),), ((0.1, True),)])
+def test_config_rejects_theta_bounds_that_are_no_pairs_of_numbers(box):
+    # "0.1:10" used to raise a bare ValueError while unpacking its characters
+    with pytest.raises(DomainError, match="theta_bounds must be"):
+        uniform_cfg(base=Exponential(1.0), theta_bounds=box)
+    with pytest.raises(DomainError, match="theta_bounds must be"):
+        fit_full(Kind.FIRST, "exponential", [0.5, 1.0, 2.0], theta_bounds=box)
+
+
+def test_config_takes_a_box_of_any_sequence_of_number_pairs():
+    want = uniform_cfg(base=Exponential(1.0), theta_bounds=((0.1, 10.0),))
+    for box in ([[0.1, 10]], np.array([[0.1, 10.0]]), [(np.float64(0.1), np.int64(10))]):
+        assert uniform_cfg(base=Exponential(1.0), theta_bounds=box) == want
 
 
 @pytest.mark.parametrize("field, value", [
@@ -226,7 +250,7 @@ def _sim_configs(draw):
     )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_sim_configs())
 def test_canonical_config_text_parses_back_to_its_config(cfg):
     assert parse_sim_config(canonical_config_text(cfg)) == cfg
