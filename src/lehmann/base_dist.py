@@ -86,6 +86,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _integer(value) -> bool:
+    # a bool is an int, but no count, order, seed or kind is a truth value;
+    # an integral float is refused too, as a float seed would be truncated
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _finite_positive(name: str, value) -> float:
     """``value`` as a float; DomainError unless it is a finite real > 0."""
     if not _is_real(value):
@@ -317,18 +323,18 @@ class Exponential(BaseDistribution):
     def support(self) -> Support:
         return Support(0.0, math.inf)
 
+    def _log_sf(self, x):
+        # x < 0 maps to the lower endpoint; near the float maximum rate * x
+        # overflows to its limit, -inf, once rate > 1
+        with np.errstate(over="ignore"):
+            return -self.rate * np.maximum(x, 0.0)
+
     # the direct product is more accurate than exp(_log_pdf)
     def _pdf(self, x):
-        # x < 0 maps to the lower endpoint, so the masked branch cannot overflow
-        density = self.rate * np.exp(-self.rate * np.maximum(x, 0.0))
-        return np.where(x >= 0.0, density, 0.0)
+        return np.where(x >= 0.0, self.rate * np.exp(self._log_sf(x)), 0.0)
 
     def _log_pdf(self, x):
-        return np.where(x >= 0.0, np.log(self.rate) - self.rate * x, -np.inf)
-
-    def _log_sf(self, x):
-        # x < 0 maps to the lower endpoint
-        return -self.rate * np.maximum(x, 0.0)
+        return np.where(x >= 0.0, np.log(self.rate) + self._log_sf(x), -np.inf)
 
     # the hazard is the rate: ln f - ln(1 - F) = ln(rate) on the support
     def _log_hazard_and_kernel(self, x, first):

@@ -157,6 +157,7 @@ def _evaluate(kind: Kind, base, X, lam):
     parameter row of ``base``.
     """
     n = X.shape[1]
+    # a fixed lam == 1 needs no hazard kernel (the restricted fits)
     if lam is not None and lam == 1.0:
         terms = base._log_pdf(X)
         total = terms.sum(axis=1)
@@ -171,16 +172,13 @@ def _evaluate(kind: Kind, base, X, lam):
             else:
                 degenerate = np.zeros(len(w_sum), dtype=bool)
             total = terms.sum(axis=1) + (n * np.log(lam) + lam * w_sum)
-            # where some w is -inf (F is 0 or 1 at a sample value), ln f - w
-            # is +inf and lam sum w is -inf: the plain sum decides
-            ends = np.isneginf(w_sum) & ~degenerate
-            if ends.any():
-                plain = base._log_pdf(X).sum(axis=1) + (n * np.log(lam) + (lam - 1.0) * w_sum)
-                total = np.where(ends, plain, total)
-        # a profiled exponent of exactly 1 gets the fixed-exponent value
-        ones = np.equal(lam, 1.0) & ~degenerate
-        if ones.any():
-            total = np.where(ones, _evaluate(kind, base, X, 1.0)[0], total)
+            # the plain sum decides where some w is -inf (F is 0 or 1 at a
+            # sample value: ln f - w is +inf and lam sum w is -inf), and at a
+            # profiled lam of exactly 1, where it adds +0.0 to the density sum
+            plain = (np.isneginf(w_sum) | np.equal(lam, 1.0)) & ~degenerate
+            if plain.any():
+                total = np.where(plain, base._log_pdf(X).sum(axis=1)
+                                 + (n * np.log(lam) + (lam - 1.0) * w_sum), total)
     # a vanishing density (ln f = -inf, so a term is -inf, or nan where w
     # is -inf too) makes ln L -inf whatever the sum says (the sum is nan
     # when +inf terms are present too)
@@ -625,9 +623,13 @@ def _fit_block(kind: Kind, family, X, bounds, lam, extras=()):
     """Best theta per row of a validated block, and the raw ln L there.
 
     Returns ``(theta_hat, value, degenerate)`` as :func:`_evaluate`
-    reports them at theta_hat.
+    reports them at theta_hat. An empty box has one point, theta = (),
+    so a parameter-free family is evaluated there without a search.
     """
-    theta_hat, _ = _pick_best(_fit_rows(kind, family, X, bounds, lam, extras)[0])
+    if bounds:
+        theta_hat, _ = _pick_best(_fit_rows(kind, family, X, bounds, lam, extras)[0])
+    else:
+        theta_hat = np.empty((len(X), 0))
     return (theta_hat, *_evaluate(kind, family._at_columns(theta_hat), X, lam))
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +38,7 @@ from .base_dist import (
     BaseDistribution,
     Support,
     _finite_positive,
+    _integer,
     _Law,
     log1mexp,
 )
@@ -69,18 +69,9 @@ def _coerce_kind(kind) -> Kind:
     if isinstance(kind, Kind):
         return kind
     # a bool is an int and 1.0 == 1, but neither names a kind
-    integral = isinstance(kind, numbers.Integral) and not isinstance(kind, bool)
-    if integral and kind in (1, 2):
+    if _integer(kind) and kind in (1, 2):
         return Kind(kind)
     raise DomainError(f"kind must be Kind.FIRST, Kind.SECOND, 1 or 2, got {kind!r}")
-
-
-def _whole(value) -> int | None:
-    """``value`` as an int if it is an integral number, else None."""
-    # a bool is an int, but no count, order or seed is a truth value
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
-    return int(value) if integral and not isinstance(value, bool) else None
 
 
 def _kernel_log(kind: Kind, base, x):
@@ -192,9 +183,9 @@ class ExtendedDistribution(_Law):
         estimate) if the quadrature does not converge, which is also how
         a divergent moment surfaces.
         """
-        order = _whole(k)
-        if order is None or order < 1:
+        if not _integer(k) or k < 1:
             raise DomainError(f"moment order k must be a positive integer, got {k!r}")
+        order = int(k)
         x_at = _node_map(self)
         # a power past the float range is inf, which the quadrature reports
         with np.errstate(over="ignore"):
@@ -248,11 +239,11 @@ def sample(dist, n: int, seed: int) -> Sample:
     seed, so identical (dist, n, seed) always reproduces the identical
     sample. Uniforms are drawn on the open interval (0, 1).
     """
-    size, key = _whole(n), _whole(seed)
-    if size is None or size < 1:
+    if not _integer(n) or n < 1:
         raise DomainError(f"sample size n must be a positive integer, got {n!r}")
-    if key is None:
+    if not _integer(seed):
         raise DomainError(f"seed must be an integer, got {seed!r}")
+    size, key = int(n), int(seed)
     u = open_uniform(substream(key), size)
     values = np.asarray(dist.quantile(u), dtype=float)
     return Sample(values=values, seed=key, source=dist.describe())

@@ -45,14 +45,13 @@ import hashlib
 import json
 import logging
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .base_dist import BaseDistribution, _finite_positive, _is_real
+from .base_dist import BaseDistribution, _finite_positive, _integer, _is_real
 from .descriptors import parse_base
 from .errors import DegenerateSampleError, DomainError, NumericalError, ParseError
 from .estimate import (
@@ -129,7 +128,7 @@ class SimConfig:
         object.__setattr__(self, "theta_bounds", _checked_box(type(self.base), box)[0])
         for name in ("n", "replications", "seed", "calibration_replications"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _integer(value):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
         if not self.lambda_grid:
@@ -281,16 +280,12 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray):
     keep = ~failed
     X, ll0 = X[keep], ll0[keep]
     bounds = cfg.theta_bounds
-    if bounds:
-        theta0 = np.tile(np.asarray(cfg.base.theta, dtype=float), (len(X), 1))
-        theta_r, restr, _ = _fit_block(cfg.kind, family, X, bounds, 1.0, (theta0,))
-        back = restr < ll0
-        theta_r[back] = theta0[back]
-        restr = np.where(back, ll0, restr)
-        _, full, degenerate = _fit_block(cfg.kind, family, X, bounds, None, (theta_r,))
-    else:
-        restr = ll0
-        full, degenerate = _evaluate(cfg.kind, cfg.base, X, None)
+    theta0 = np.tile(np.asarray(cfg.base.theta, dtype=float), (len(X), 1))
+    theta_r, restr, _ = _fit_block(cfg.kind, family, X, bounds, 1.0, (theta0,))
+    back = restr < ll0
+    theta_r[back] = theta0[back]
+    restr = np.where(back, ll0, restr)
+    _, full, degenerate = _fit_block(cfg.kind, family, X, bounds, None, (theta_r,))
     full = np.where(full < restr, restr, full)
     failed[keep] = degenerate
     ok = ~degenerate
@@ -446,7 +441,7 @@ class LrtReport:
     crit_misspec: float
     cells: tuple[CellResult, ...]
     warnings: tuple[str, ...] = ()
-    generator: str = GENERATOR_ID
+    generator: ClassVar[str] = GENERATOR_ID
 
     @property
     def config_hash(self) -> str:

@@ -203,13 +203,21 @@ class _Rayleigh(BaseDistribution):
         return self.sigma * np.sqrt(-2.0 * np.log1p(-u))
 
 
+_WARNING_BASES = [Uniform(), Exponential(0.4), Exponential(2.5),
+                  Weibull(0.5, 1.0), Weibull(1.0, 1.0), Weibull(2.0, 1.0), Weibull(0.7, 3.0)]
+_MAX = float(np.finfo(float).max)
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
-def test_weibull_public_methods_emit_no_floating_point_warnings(shape):
-    # ln(0) and an overflowing exp sit inside the log-space kernel
-    d = Weibull(shape, 1.0)
-    x = [-1.0, 0.0, 5e-324, 1.0, 1e308]
-    for method in (d.pdf, d.log_pdf, d.cdf, d.log_cdf, d.log_sf):
+@pytest.mark.parametrize("law", _WARNING_BASES + [
+    extend(base, lam, kind)
+    for base in _WARNING_BASES for kind in Kind for lam in (0.5, 1.0, 2.0)
+], ids=lambda law: law.describe())
+def test_public_methods_emit_no_floating_point_warnings(law):
+    # ln(0), an overflowing product or exp, and inf - inf sit inside the
+    # kernels, which keep them quiet at every float class
+    x = [0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, np.inf, -np.inf, np.nan, -1.0, 1.0, 1e308]
+    for method in (law.pdf, law.log_pdf, law.cdf, law.log_cdf, law.log_sf):
         method(np.array(x))
         for v in x:
             method(v)

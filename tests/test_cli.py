@@ -150,6 +150,16 @@ def test_fit_exit_one_on_degenerate_sample(runner):
         assert "equal" in res.output
 
 
+def test_fit_without_a_recorded_source_needs_dist(runner):
+    text = "# seed: 3\nvalue\n0.5\n0.7\n1.9\n"
+    res = invoke(runner, ["fit", "-"], input=text)
+    assert res.exit_code == 2
+    assert "the file records no source descriptor; pass --dist" in res.output
+    res = invoke(runner, ["fit", "-", "--dist", "lehmann1(base=exponential(rate=1.0),lambda=1.0)"],
+                 input=text)
+    assert res.exit_code == 0
+
+
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("base", ["exponential(rate=1.0)", "weibull(shape=2.0,scale=1.0)"])
 def test_fit_exit_two_on_non_finite_value(runner, base, bad):

@@ -109,3 +109,10 @@ def test_parse_base_rejects_extended():
     assert parse_base("uniform()") == Uniform()
     with pytest.raises(ParseError):
         parse_base("lehmann1(base=uniform(),lambda=2)")
+
+
+def test_descriptor_arguments_of_the_wrong_type_are_rejected():
+    with pytest.raises(ParseError, match="lambda= must be a number"):
+        parse_distribution("lehmann1(base=uniform(),lambda=uniform())")
+    with pytest.raises(ParseError, match="parameters of exponential must be numbers"):
+        parse_distribution("exponential(rate=uniform())")

@@ -458,6 +458,19 @@ def test_profiled_exponent_of_exactly_one_keeps_the_density_sum():
     assert value[0] == loglik(Kind.SECOND, Exponential, (1.0,), 1.0, x[0])
 
 
+def test_profiled_exponent_of_exactly_one_takes_the_plain_sum():
+    # ln F(x) rounds to exactly -1 here, so lambda_hat is 1; the hazard
+    # form (ln f - w) + w rounds to another float than ln f alone
+    from lehmann.estimate import _evaluate
+
+    x = np.array([[0.45867514538708193]])
+    assert mle_lambda(Kind.FIRST, Exponential, (1.0,), x[0]) == 1.0
+    hazard, w = Exponential(1.0)._log_hazard_and_kernel(x, True)
+    want = loglik(Kind.FIRST, Exponential, (1.0,), 1.0, x[0])
+    assert hazard.sum() + w.sum() != want
+    assert _evaluate(Kind.FIRST, Exponential(1.0), x, None)[0][0] == want
+
+
 @pytest.mark.parametrize("kind,family,theta,lam,x,want", [
     (Kind.FIRST, "uniform", (), 2.0, [0.0, 0.5], -math.inf),
     (Kind.FIRST, "uniform", (), 0.5, [0.0, 0.5], math.inf),

@@ -10,6 +10,10 @@ calibrated ones.
 - Exponential(1) base, first kind, under H0: the restricted fit is the
   rate 1/xbar, so the mis-specified statistic is 2n[(xbar - 1) - ln xbar]
   with n xbar ~ Gamma(n, 1).
+- Exponential(1) base, second kind: the powered law is the exponential
+  law of rate lam, so n xbar ~ Gamma(n, lam) and the mis-specified
+  statistic is the same function of xbar. The rate absorbs the exponent,
+  so the full statistic equals it.
 
 The seeds are fixed; each Monte Carlo check allows 4 binomial standard
 errors.
@@ -23,7 +27,7 @@ from scipy.optimize import brentq
 from scipy.stats import beta, gamma
 
 from lehmann import Exponential, Kind, SimConfig, Uniform, extend, lrt_statistics, run_power_study
-from lehmann.lrt_sim import calibrate
+from lehmann.lrt_sim import _draw_block, _lrt_rows, calibrate
 
 
 def _roots(h, centre, crit):
@@ -89,3 +93,20 @@ def test_exponential_null_misspec_law_bounds_the_calibration_and_the_size():
     exact = 1.0 - null_cdf(crit)
     se = math.sqrt(exact * (1.0 - exact) / reps)
     assert abs(cell.power_misspec - exact) <= 4.0 * se, (cell.power_misspec, exact)
+
+
+def test_second_kind_exponential_power_matches_the_gamma_law():
+    n, reps = 20, 2000
+    cfg = SimConfig(Kind.SECOND, Exponential(1.0), (1.0, 1.3, 1.6), n, reps, 0.05, 2028, 2000)
+    report = run_power_study(cfg)
+    lo, hi = _roots(_misspec_of_mean(n), 1.0, report.crit_misspec)
+    for i, cell in enumerate(report.cells):
+        mean = gamma(a=n, scale=1.0 / (n * cell.lam))
+        exact = 1.0 - (mean.cdf(hi) - mean.cdf(lo))
+        se = math.sqrt(exact * (1.0 - exact) / reps)
+        assert abs(cell.power_misspec - exact) <= 4.0 * se, (cell.lam, cell.power_misspec, exact)
+        assert cell.failures == 0
+        X = _draw_block(cfg, extend(cfg.base, cell.lam, cfg.kind), i + 1, range(reps))
+        stats, failed = _lrt_rows(cfg, X)
+        assert not failed.any()
+        assert np.max(np.abs(stats[:, 0] - stats[:, 1])) <= 1e-9, cell.lam

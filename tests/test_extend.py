@@ -286,6 +286,12 @@ def test_sample_rejects_bad_n():
         sample(Uniform(), 2, True)
     with pytest.raises(DomainError):
         sample(Uniform(), 2, 1.5)
+    # an integral float is no integer either: a float seed would be
+    # truncated by the generator, as SimConfig refuses it
+    with pytest.raises(DomainError, match="sample size n must be a positive integer"):
+        sample(Uniform(), 10.0, 3)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        sample(Uniform(), 10, 3.0)
     # numpy integers and negative seeds are integers
     s = sample(Uniform(), np.int64(2), np.int32(-3))
     assert len(s) == 2 and s.seed == -3 and type(s.seed) is int
@@ -342,6 +348,9 @@ def test_moment_rejects_bad_order():
         g.moment(0)
     with pytest.raises(DomainError):
         g.moment(1.5)
+    with pytest.raises(DomainError, match="positive integer"):
+        g.moment(2.0)
+    assert g.moment(np.int64(2)) == g.moment(2)
     with pytest.raises(DomainError):
         extend(Exponential(1.0), 2.0).moment(True)
 
@@ -406,6 +415,10 @@ def test_sample_csv_round_trip():
 def test_sample_csv_rejects_malformed_input():
     with pytest.raises(ParseError):
         sample_from_csv("0.5\n0.7\n")  # no header
+    with pytest.raises(ParseError, match="has no 'value' header row"):
+        sample_from_csv("# seed: 1\n\n")  # metadata only
+    with pytest.raises(ParseError, match="bad seed metadata 'abc'"):
+        sample_from_csv("# seed: abc\nvalue\n0.5\n")
     with pytest.raises(ParseError) as info:
         sample_from_csv("value\n0.5\nnot-a-number\n")
     assert "position 3" in str(info.value)

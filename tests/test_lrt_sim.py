@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from lehmann import (
     DomainError,
     Exponential,
     Kind,
+    NumericalError,
     ParseError,
     SimConfig,
     Uniform,
@@ -176,6 +179,10 @@ def test_parse_config_errors():
         parse_sim_config("kind first\n")
     with pytest.raises(ParseError, match="invalid config"):
         parse_sim_config(CONFIG_TEXT.replace("alpha = 0.05", "alpha = 1.5"))
+    with pytest.raises(ParseError, match="theta_bounds': cannot parse '0.1:ten'"):
+        parse_sim_config(CONFIG_TEXT.replace("0.1:10", "0.1:ten"))
+    with pytest.raises(ParseError, match="config key 'n': cannot parse 'abc'"):
+        parse_sim_config(CONFIG_TEXT.replace("n = 50", "n = abc"))
 
 
 def test_config_hash_tracks_content():
@@ -421,8 +428,6 @@ def test_calibrate_median_at_half_alpha():
 
 
 def test_calibrate_logs_wilks_diagnostic(caplog):
-    import logging
-
     with caplog.at_level(logging.INFO, logger="lehmann.lrt_sim"):
         calibrate(uniform_cfg())
     assert "Wilks" in caplog.text
@@ -434,7 +439,11 @@ def test_power_study_uniform_and_report_shape():
     report = run_power_study(cfg)
 
     assert report.config_hash == config_hash(cfg)
+    # the generator is a class constant, not a field, that the reports write
     assert report.generator == "pcg64"
+    assert "generator" not in {f.name for f in dataclasses.fields(LrtReport)}
+    assert "# generator: pcg64" in report.to_csv().splitlines()
+    assert json.loads(report.to_json())["generator"] == "pcg64"
     assert report.warnings == ()
     assert [c.lam for c in report.cells] == [1.0, 1.5, 2.5]
     for cell in report.cells:
@@ -527,6 +536,59 @@ def test_all_failed_cell_reports_nan_statistics(monkeypatch):
     cell = blob["cells"][1]
     assert cell["failures"] == 150 and math.isnan(cell["power_full"])
     assert cell["crit_full"] == report.crit_full
+
+
+@pytest.mark.parametrize("lam, n, replications, failed, warning", [
+    (1e300, 5, 100, 100, "cell lambda=1e+300: all replications failed"),
+    (1e15, 1, 200, 7,
+     "cell lambda=1000000000000000.0: 7 of 200 replications failed to fit (over 1%)"),
+])
+def test_power_study_counts_and_flags_the_replications_that_fail(
+        lam, n, replications, failed, warning):
+    # a huge first-kind exponent rounds draws of the uniform law onto 1.0;
+    # a sample of nothing but 1.0 has sum ln F = 0 and no exponent MLE
+    cfg = SimConfig(Kind.FIRST, Uniform(), (lam,), n, replications, 0.05, 1, 1000)
+    X = _draw_block(cfg, extend(cfg.base, lam, cfg.kind), 1, range(replications))
+    assert np.count_nonzero((X == 1.0).all(axis=1)) == failed
+    report = run_power_study(cfg)
+    cell, = report.cells
+    assert cell.failures == failed
+    assert report.warnings == (warning,)
+    assert f"# warning: {warning}" in report.to_csv().splitlines()
+    assert math.isnan(cell.power_full) == (failed == replications)
+
+
+@dataclasses.dataclass(frozen=True)
+class _WholeExponential(Exponential):
+    """The exponential law with every draw rounded up to a whole number, so
+    the values of a sample are all equal with positive probability, and
+    always once the rate is large."""
+
+    family_id: ClassVar[str] = "whole_exponential"
+
+    def _quantile(self, u):
+        return np.ceil(super()._quantile(u))
+
+
+def test_calibration_excludes_and_reports_the_replications_that_fail(caplog):
+    cfg = SimConfig(Kind.FIRST, _WholeExponential(1.0), (1.0,), 2, 100, 0.05, 5, 1000)
+    X = _draw_block(cfg, cfg.base, 0, range(1000))
+    equal = int(np.count_nonzero(X[:, 0] == X[:, 1]))
+    assert 0 < equal < 1000
+    with caplog.at_level(logging.WARNING, logger="lehmann.lrt_sim"):
+        crit = calibrate(cfg)
+    assert caplog.messages == [
+        f"calibration: {equal} of 1000 replications failed and were excluded"]
+    stats, failures = lrt_sim._cell_statistics(cfg, cfg.base, 0, 1000)
+    assert failures == equal and len(stats) == 1000 - equal
+    assert crit == tuple(np.quantile(stats, 0.95, axis=0, method="higher").tolist())
+
+
+def test_calibration_with_no_fitted_replication_raises():
+    cfg = SimConfig(Kind.FIRST, _WholeExponential(1e6), (1.0,), 5, 100, 0.05, 5, 1000)
+    assert (_draw_block(cfg, cfg.base, 0, range(1000)) == 1.0).all()
+    with pytest.raises(NumericalError, match="every calibration replication failed to fit"):
+        calibrate(cfg)
 
 
 def test_kl_bridge_tracks_closed_form():

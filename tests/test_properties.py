@@ -1,14 +1,26 @@
 """Hypothesis properties of the powered laws: descriptor round trips,
-quantile/CDF inversion and closure under composition."""
+quantile/CDF inversion, closure under composition, and the nesting and
+block-row identity of the power study's statistics."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lehmann import Exponential, Kind, Uniform, Weibull, extend, parse_distribution
+from lehmann import (
+    DegenerateSampleError,
+    Exponential,
+    Kind,
+    SimConfig,
+    Uniform,
+    Weibull,
+    extend,
+    lrt_statistics,
+    parse_distribution,
+)
+from lehmann.lrt_sim import _draw_block, _lrt_rows
 
 _ANY_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
 _LAMBDA = st.one_of(st.just(1.0), st.sampled_from([0.25, 0.5, 2.0, 4.0]), _ANY_POSITIVE)
@@ -61,3 +73,25 @@ def test_compose_is_the_law_of_the_product_exponent(base, a, c, kind):
         assert got.tobytes() == want.tobytes(), method
     u = np.array([1e-12, 0.01, 0.5, 0.99, 1.0 - 1e-12])
     assert composed.quantile(u).tobytes() == direct.quantile(u).tobytes()
+
+
+# a few rows per example keep the Weibull fits cheap; the seed picks the
+# streams the rows are drawn from
+@settings(max_examples=40)
+@given(_MODERATE_BASE, _KINDS, st.integers(2, 40),
+       st.one_of(st.just(1.0), st.floats(0.2, 5.0)), st.integers(0, 2**32))
+def test_study_rows_nest_and_equal_their_lone_sample_statistics(base, kind, n, lam, seed):
+    cfg = SimConfig(kind, base, (lam,), n, 100, 0.05, seed, 1000)
+    X = _draw_block(cfg, extend(base, lam, kind), 1, range(3))
+    stats, failed = _lrt_rows(cfg, X)
+    assert len(stats) == np.count_nonzero(~failed)
+    kept = iter(stats)
+    for x, fails in zip(X, failed):
+        if fails:
+            with pytest.raises(DegenerateSampleError):
+                lrt_statistics(x, cfg)
+            continue
+        full, misspec = row = next(kept)
+        assert full >= misspec >= 0.0
+        # bit for bit, not approximately
+        assert np.array(lrt_statistics(x, cfg)).tobytes() == row.tobytes()
