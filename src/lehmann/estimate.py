@@ -19,10 +19,12 @@ family's broadcasting log kernels for all the rows it is given (chunked
 to cap the working set), and the searches step their rows in lockstep.
 A Newton row that has stopped is not evaluated again; a Brent row whose
 bracket has closed keeps its state behind a mask and is evaluated at its
-best point while the other rows go on. The public fits are the R = 1
-case, and :mod:`lehmann.lrt_sim` fits all replications of a power-study
-cell at once. Each row does the arithmetic it would do alone, so a row
-of a block gives the same bits as its R = 1 fit.
+best point while the other rows go on. ``_fit_block`` runs every fit,
+and alone decides that an empty box is evaluated at theta = (). The
+public fits are its R = 1 case, and :mod:`lehmann.lrt_sim` fits all
+replications of a power-study cell at once. Each row does the arithmetic
+it would do alone, so a row of a block gives the same bits as its R = 1
+fit.
 
 ``base_family`` arguments accept a registered family id, the family
 class, or an instance (its class is used).
@@ -586,51 +588,44 @@ def _scorer(kind: Kind, family, X, lam):
     return h
 
 
-def _fit_rows(kind: Kind, family, X, bounds, lam, extras=()):
+def _fit_block(kind: Kind, family, X, bounds, lam, extras=()):
     """Maximize ln L over theta for every row of a validated block.
 
-    One parameter: a Brent search over its side of the box. More: the
-    Newton search from the multistart set, one engine row per (sample,
-    start) pair. Then the direct candidates ``extras`` (each an (R, d)
-    array, one point per sample) are scored. Returns the candidates
-    ``[(theta (R, d), value (R,)), ...]``, the search results then the
-    extras, in the order _pick_best reads them, and the number of starts
-    per sample that the Newton search left at its iteration cap.
+    The one place that decides the empty box: it has one point, theta =
+    (), evaluated without a search. One parameter: a Brent search over
+    its side of the box. More: the Newton search from the multistart set,
+    one engine row per (sample, start) pair. Then the direct candidates
+    ``extras`` (each (R, d), one point per sample) are scored. Returns
+    ``(theta_hat, value, degenerate, candidates, capped)``: the best theta
+    per row with :func:`_evaluate`'s value and mask there; the scored
+    ``[(theta (R, d), value (R,)), ...]`` in the order _pick_best reads
+    them (none without a search); and each sample's starts left at the
+    Newton search's iteration cap.
     """
-    h = _scorer(kind, family, X, lam)
-    capped = np.zeros(len(X), dtype=int)
-    if len(bounds) == 1:
-        # a line search over the full side does not depend on a start
-        (lo, hi), = bounds
-        s, value = _golden_max(lambda s: h(lo + s[:, None] * (hi - lo)),
-                               np.zeros(len(X)), np.ones(len(X)))
-        candidates = [(lo + s[:, None] * (hi - lo), value)]
-    else:
-        to_theta = _unit_map(bounds)
-        starts = _unit_starts(len(bounds))
-        per = len(starts)
-        sample_of = np.repeat(np.arange(len(X)), per)
-        u, value, stopped = _newton_max(lambda rows, u: h(to_theta(u), sample_of[rows]),
-                                        np.tile(starts, (len(X), 1)))
-        theta = to_theta(u)
-        candidates = [(theta[j::per], value[j::per]) for j in range(per)]
-        capped = stopped.reshape(len(X), per).sum(axis=1)
-    candidates.extend((t, h(t)) for t in extras)
-    return candidates, capped
-
-
-def _fit_block(kind: Kind, family, X, bounds, lam, extras=()):
-    """Best theta per row of a validated block, and the raw ln L there.
-
-    Returns ``(theta_hat, value, degenerate)`` as :func:`_evaluate`
-    reports them at theta_hat. An empty box has one point, theta = (),
-    so a parameter-free family is evaluated there without a search.
-    """
-    if bounds:
-        theta_hat, _ = _pick_best(_fit_rows(kind, family, X, bounds, lam, extras)[0])
-    else:
+    candidates, capped = [], np.zeros(len(X), dtype=int)
+    if not bounds:
         theta_hat = np.empty((len(X), 0))
-    return (theta_hat, *_evaluate(kind, family._at_columns(theta_hat), X, lam))
+    else:
+        h = _scorer(kind, family, X, lam)
+        if len(bounds) == 1:
+            # a line search over the full side does not depend on a start
+            (lo, hi), = bounds
+            s, value = _golden_max(lambda s: h(lo + s[:, None] * (hi - lo)),
+                                   np.zeros(len(X)), np.ones(len(X)))
+            candidates.append((lo + s[:, None] * (hi - lo), value))
+        else:
+            to_theta = _unit_map(bounds)
+            starts = _unit_starts(len(bounds))
+            per = len(starts)
+            sample_of = np.repeat(np.arange(len(X)), per)
+            u, value, stopped = _newton_max(lambda rows, u: h(to_theta(u), sample_of[rows]),
+                                            np.tile(starts, (len(X), 1)))
+            theta = to_theta(u)
+            candidates.extend((theta[j::per], value[j::per]) for j in range(per))
+            capped = stopped.reshape(len(X), per).sum(axis=1)
+        candidates.extend((t, h(t)) for t in extras)
+        theta_hat, _ = _pick_best(candidates)
+    return (theta_hat, *_evaluate(kind, family._at_columns(theta_hat), X, lam), candidates, capped)
 
 
 def _all_equal_rows(family, X) -> np.ndarray:
@@ -656,16 +651,15 @@ def _fit(kind, base_family, s, lam, theta_bounds) -> FitResult:
     X = _as_block(s)
     _degenerate_guard(family, X)
     bounds, member = _checked_box(family, theta_bounds)
-    theta_hat, trace, warnings = (), None, ()
-    if bounds:
-        _check_support(member, X)
-        candidates, capped = _fit_rows(kind, family, X, bounds, lam)
-        theta_hat = tuple(float(v) for v in _pick_best(candidates)[0][0])
-        trace = tuple((tuple(float(v) for v in t[0]), float(val[0])) for t, val in candidates)
-        warnings = _boundary_warnings(theta_hat, bounds)
-        if capped[0]:
-            warnings += (f"{capped[0]} of {_N_MULTISTARTS} starts stopped at the "
-                         f"search's iteration cap ({_NEWTON_MAX_ITER})",)
+    _check_support(member, X)
+    theta, _, _, candidates, capped = _fit_block(kind, family, X, bounds, lam)
+    theta_hat = tuple(float(v) for v in theta[0])
+    # a fit without a search has no trace
+    trace = tuple((tuple(float(v) for v in t[0]), float(val[0])) for t, val in candidates) or None
+    warnings = _boundary_warnings(theta_hat, bounds)
+    if capped[0]:
+        warnings += (f"{capped[0]} of {_N_MULTISTARTS} starts stopped at the "
+                     f"search's iteration cap ({_NEWTON_MAX_ITER})",)
     x = X[0]
     if lam is None:
         lam = mle_lambda(kind, family, theta_hat, x)

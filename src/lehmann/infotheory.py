@@ -1,19 +1,16 @@
 """Kullback-Leibler divergence and the closed-form power loss.
 
-Everything here is in nats. The headline identity: for a first-kind
-powered law against its own base (same base parameters), the divergence
+Everything here is in nats. The headline identity: a powered law of
+either kind against its own base at the same base parameters theta has
 
-    KL(G(lam) || G(1)) = ln(lam) + (1 - lam)/lam
+    KL(G(lam, theta) || F(theta)) = ln(lam) + (1 - lam)/lam,
 
-does not depend on the base at all. :func:`power_loss_closed` is that
-formula; :func:`kl_numeric` reproduces it by quadrature for any base,
-and :func:`power_loss_integrand_check` recomputes it along an
-independent integral representation. The mis-specified test harness in
-:mod:`lehmann.lrt_sim` consumes these as oracles.
-
-The same-theta assumption is baked into ``power_loss_closed`` (it is a
-function of the exponent only); pairs with different base parameters are
-the business of :func:`kl_numeric`.
+whatever the base. :func:`power_loss_closed` is that formula;
+:func:`kl_numeric` reproduces it by quadrature for any pair of laws, and
+:func:`power_loss_integrand_check` along an independent integral. The
+power study reports it as ``delta_closed``: the limit of its
+``mean_log_ratio``, min over theta of KL(G(lam, theta0) || F(theta)),
+for the uniform base, which has no theta, and an upper bound otherwise.
 """
 
 from __future__ import annotations
@@ -67,7 +64,11 @@ def _as_extended(d) -> ExtendedDistribution:
 
 
 def power_loss_closed(lam: float) -> float:
-    """ln(lam) + (1 - lam)/lam; zero exactly at lam = 1."""
+    """KL(G(lam, theta) || F(theta)) = ln(lam) + (1 - lam)/lam; zero at lam = 1.
+
+    Either kind, any base, one theta: the limit of the power study's
+    ``mean_log_ratio`` for the uniform base, an upper bound otherwise.
+    """
     lam = _finite_positive("lambda", lam)
     return math.log(lam) + (1.0 - lam) / lam
 

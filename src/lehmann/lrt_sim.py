@@ -263,11 +263,8 @@ def config_hash(cfg: SimConfig) -> str:
 def _lrt_rows(cfg: SimConfig, X: np.ndarray):
     """LRT statistics for every row of a sample block.
 
-    The block is checked against the null law's support first. Exact
-    nesting is enforced row by row: the null theta0 competes as a
-    candidate in the restricted fit and the restricted solution competes
-    in the full fit, so full >= misspec >= 0 holds on every kept row as
-    a float comparison, not just in expectation. A row fails when its
+    The block is checked against the null law's support first. Each row
+    is nested exactly as :func:`lrt_statistics` says. A row fails when its
     values are all equal (base parameters unidentified) or when the
     exponent MLE is undefined at the full fit. Returns ``(stats,
     failed)``: the ``(kept, 2)`` array of (full, misspec) statistics of
@@ -281,11 +278,11 @@ def _lrt_rows(cfg: SimConfig, X: np.ndarray):
     X, ll0 = X[keep], ll0[keep]
     bounds = cfg.theta_bounds
     theta0 = np.tile(np.asarray(cfg.base.theta, dtype=float), (len(X), 1))
-    theta_r, restr, _ = _fit_block(cfg.kind, family, X, bounds, 1.0, (theta0,))
+    theta_r, restr, *_ = _fit_block(cfg.kind, family, X, bounds, 1.0, (theta0,))
     back = restr < ll0
     theta_r[back] = theta0[back]
     restr = np.where(back, ll0, restr)
-    _, full, degenerate = _fit_block(cfg.kind, family, X, bounds, None, (theta_r,))
+    _, full, degenerate, *_ = _fit_block(cfg.kind, family, X, bounds, None, (theta_r,))
     full = np.where(full < restr, restr, full)
     failed[keep] = degenerate
     ok = ~degenerate

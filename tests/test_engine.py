@@ -88,13 +88,42 @@ def test_block_rows_equal_the_single_sample_path(base, kind, lam):
         return
     bounds = cfg.theta_bounds
     kept = X[~failed]
-    theta_f, ll_f, _ = _fit_block(kind, type(base), kept, bounds, None)
-    theta_r, ll_r, _ = _fit_block(kind, type(base), kept, bounds, 1.0)
+    theta_f, ll_f, *_ = _fit_block(kind, type(base), kept, bounds, None)
+    theta_r, ll_r, *_ = _fit_block(kind, type(base), kept, bounds, 1.0)
     for r, x in enumerate(kept):
         f = fit_full(kind, type(base), x, theta_bounds=bounds)
         g = fit_restricted(kind, type(base), x, 1.0, theta_bounds=bounds)
         assert (tuple(theta_f[r]), ll_f[r]) == (f.theta_hat, f.loglik)
         assert (tuple(theta_r[r]), ll_r[r]) == (g.theta_hat, g.loglik)
+
+
+@pytest.mark.parametrize("max_iter", [estimate._NEWTON_MAX_ITER, 2], ids=["cap-100", "cap-2"])
+@pytest.mark.parametrize("lam", [None, 1.0, 2.5], ids=["full", "restricted-1", "restricted-2.5"])
+@pytest.mark.parametrize("base,kind", [
+    (Exponential(1.3), Kind.FIRST), (Exponential(1.3), Kind.SECOND),
+    (Weibull(2.0, 1.0), Kind.FIRST), (Weibull(2.0, 1.0), Kind.SECOND),
+], ids=["exponential-1", "exponential-2", "weibull-1", "weibull-2"])
+def test_block_search_record_is_the_lone_fits_trace(monkeypatch, base, kind, lam, max_iter):
+    # a lone fit is the one-row block fit: its profile_trace is its row of
+    # the block's scored candidates, and its warnings name that row's
+    # starts left at the iteration cap (a cap of 2 leaves some there)
+    monkeypatch.setattr(estimate, "_NEWTON_MAX_ITER", max_iter)
+    cfg = _cfg(base, kind)
+    X = _draw_block(cfg, extend(base, 2.0, kind), 1, range(4))
+    bounds = cfg.theta_bounds
+    theta_hat, _, _, candidates, capped = _fit_block(kind, type(base), X, bounds, lam)
+    if len(bounds) > 1 and max_iter == 2:
+        assert capped.any()
+    for r, x in enumerate(X):
+        if lam is None:
+            fit = fit_full(kind, type(base), x, theta_bounds=bounds)
+        else:
+            fit = fit_restricted(kind, type(base), x, lam, theta_bounds=bounds)
+        assert fit.theta_hat == tuple(theta_hat[r])
+        assert fit.profile_trace == tuple((tuple(t[r]), v[r]) for t, v in candidates)
+        cap_notes = [w for w in fit.warnings if "iteration cap" in w]
+        assert cap_notes == ([f"{capped[r]} of 5 starts stopped at the search's iteration "
+                              f"cap ({max_iter})"] if capped[r] else [])
 
 
 # -- scipy's scalar search, as the reference of the lockstep one -------------
@@ -297,7 +326,13 @@ def test_objective_calls_are_chunked_without_changing_a_bit(monkeypatch):
     monkeypatch.setattr(estimate, "_EVAL_VALUES", 7 * cfg.n)
     monkeypatch.setattr(estimate, "_evaluate", recorded)
     chunked = _fit_block(Kind.FIRST, Weibull, X, bounds, None)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, chunked))
+
+    def arrays(fit):
+        """Every array of a _fit_block result, the scored candidates included."""
+        *head, candidates, capped = fit
+        return head + [capped] + [a for pair in candidates for a in pair]
+
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(whole), arrays(chunked)))
     # the final evaluation at theta_hat is one call for the whole block
     assert max(sizes[:-1]) == 7 * cfg.n and sizes[-1] == len(X) * cfg.n
 

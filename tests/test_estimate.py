@@ -26,6 +26,7 @@ from lehmann import (
     mle_lambda,
     sample,
 )
+from lehmann import estimate
 from lehmann.base_dist import BaseDistribution
 from lehmann.estimate import _unit_starts
 
@@ -62,6 +63,25 @@ def test_loglik_rejects_out_of_support_with_index():
     with pytest.raises(SupportError) as info:
         loglik(Kind.FIRST, Exponential, (1.0,), 2.0, [0.5, -1.0, 0.3])
     assert "x[1]=-1.0" in str(info.value)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x: fit_full(1, "uniform", x),
+    lambda x: fit_restricted(1, "uniform", x, 2.0),
+], ids=["fit_full", "fit_restricted"])
+def test_parameter_free_fit_rejects_out_of_support_with_index(monkeypatch, fit):
+    # checked by the fit itself, before the search engine runs
+    monkeypatch.setattr(estimate, "_fit_block", None)
+    with pytest.raises(SupportError) as info:
+        fit([0.2, 1.5])
+    assert str(info.value) == (
+        "sample value x[1]=1.5 lies outside the support [0.0, 1.0] of the uniform family"
+    )
+
+
+def test_fit_rejects_what_is_not_a_base_family():
+    with pytest.raises(DomainError, match=r"not a base family: 3\.5"):
+        fit_full(1, 3.5, [0.2, 0.5])
 
 
 def test_loglik_rejects_bad_lambda():

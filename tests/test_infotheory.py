@@ -74,6 +74,11 @@ def test_kl_rejects_support_mismatch():
         kl_numeric(extend(Uniform(), 2.0), extend(Exponential(1.0), 2.0))
 
 
+def test_kl_rejects_what_is_not_a_distribution():
+    with pytest.raises(DomainError, match=r"expected a distribution, got 'uniform\(\)'"):
+        kl_numeric("uniform()", Uniform())
+
+
 def test_kl_accepts_plain_bases():
     r = kl_numeric(Exponential(2.0), Exponential(1.0))
     assert r.value == pytest.approx(math.log(2.0) - 0.5, abs=1e-10)
@@ -141,6 +146,12 @@ def test_mean_log_ratio_identical_pair():
     r = mean_log_ratio_mc(g, g, 10_000, 1)
     assert r.value == 0.0
     assert r.method == "monte_carlo"
+
+
+def test_mean_log_ratio_of_one_draw_has_no_standard_error():
+    r = mean_log_ratio_mc(extend(Uniform(), 3.0), Uniform(), 1, 4)
+    assert math.isfinite(r.value)
+    assert r.error_estimate == math.inf
 
 
 def test_mean_log_ratio_matches_closed_form():
