@@ -41,7 +41,6 @@ from .infotheory import (
     kl_numeric,
     mean_log_ratio_mc,
     power_loss_closed,
-    power_loss_integrand_check,
 )
 from .lrt_sim import (
     CellResult,
@@ -95,7 +94,6 @@ __all__ = [
     "parse_distribution",
     "parse_sim_config",
     "power_loss_closed",
-    "power_loss_integrand_check",
     "register_family",
     "run_power_study",
     "sample",

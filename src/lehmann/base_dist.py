@@ -81,6 +81,11 @@ _OPEN_LO = float(np.nextafter(0.0, 1.0))
 _OPEN_HI = float(np.nextafter(1.0, 0.0))
 
 
+def _open_unit(v):
+    """``v`` clamped into the open interval (0, 1), elementwise."""
+    return np.minimum(np.maximum(v, _OPEN_LO), _OPEN_HI)
+
+
 def _is_real(value) -> bool:
     # a bool is an int and float("2") parses, but neither is a number here
     return isinstance(value, numbers.Real) and not isinstance(value, bool)

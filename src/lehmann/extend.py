@@ -33,13 +33,12 @@ import numpy as np
 
 from ._quadrature import integrate_unit
 from .base_dist import (
-    _OPEN_HI,
-    _OPEN_LO,
     BaseDistribution,
     Support,
     _finite_positive,
     _integer,
     _Law,
+    _open_unit,
     log1mexp,
 )
 from .errors import DomainError, ParseError
@@ -163,9 +162,8 @@ class ExtendedDistribution(_Law):
         first = self.kind is Kind.FIRST
         q_small = self.base._quantile if first else self.base._quantile_sf
         q_large = self.base._quantile_sf if first else self.base._quantile
-        w_small = np.minimum(np.maximum(np.exp(log_w), _OPEN_LO), _OPEN_HI)
-        w_large = np.minimum(np.maximum(-np.expm1(log_w), _OPEN_LO), _OPEN_HI)
-        return np.where(log_w < _LN_HALF, q_small(w_small), q_large(w_large))
+        return np.where(log_w < _LN_HALF, q_small(_open_unit(np.exp(log_w))),
+                        q_large(_open_unit(-np.expm1(log_w))))
 
     # defined on this class too, not only inherited: perfbench/tracer.py
     # wraps methods in the __dict__ of the class that defines them
@@ -204,8 +202,7 @@ def _node_map(dist: ExtendedDistribution):
 
     def x_at(t: np.ndarray) -> np.ndarray:
         # extreme refinement can round a node onto an endpoint
-        t = np.minimum(np.maximum(t, _OPEN_LO), _OPEN_HI)
-        return dist._base_inverse(np.log(t) * inv)
+        return dist._base_inverse(np.log(_open_unit(t)) * inv)
 
     return x_at
 
@@ -286,8 +283,8 @@ def sample_from_csv(text: str) -> Sample:
         if not saw_header:
             if line != "value":
                 raise ParseError(
-                    "sample CSV must start with a 'value' header row",
-                    text=raw, position=lineno, expected="value",
+                    f"line {lineno}: sample CSV must start with a 'value' header row",
+                    text=raw, expected="value",
                 )
             saw_header = True
             continue
@@ -295,7 +292,7 @@ def sample_from_csv(text: str) -> Sample:
             values.append(float(line))
         except ValueError:
             raise ParseError(
-                f"bad numeric row {line!r}", text=raw, position=lineno,
+                f"line {lineno}: bad numeric row {line!r}", text=raw,
                 expected="a real number",
             ) from None
     if not saw_header:

@@ -5,12 +5,9 @@ either kind against its own base at the same base parameters theta has
 
     KL(G(lam, theta) || F(theta)) = ln(lam) + (1 - lam)/lam,
 
-whatever the base. :func:`power_loss_closed` is that formula;
-:func:`kl_numeric` reproduces it by quadrature for any pair of laws, and
-:func:`power_loss_integrand_check` along an independent integral. The
-power study reports it as ``delta_closed``: the limit of its
-``mean_log_ratio``, min over theta of KL(G(lam, theta0) || F(theta)),
-for the uniform base, which has no theta, and an upper bound otherwise.
+whatever the base. :func:`power_loss_closed` is that formula, and says
+how it bounds the power study's ``mean_log_ratio``; :func:`kl_numeric`
+reproduces it by quadrature for any pair of laws.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._quadrature import integrate_unit
-from .base_dist import _OPEN_HI, _OPEN_LO, BaseDistribution, _finite_positive
+from .base_dist import BaseDistribution, _finite_positive
 from .errors import DomainError
 from .estimate import loglik
 from .extend import ExtendedDistribution, _node_map, extend, sample, sample_values
@@ -66,31 +63,15 @@ def _as_extended(d) -> ExtendedDistribution:
 def power_loss_closed(lam: float) -> float:
     """KL(G(lam, theta) || F(theta)) = ln(lam) + (1 - lam)/lam; zero at lam = 1.
 
-    Either kind, any base, one theta: the limit of the power study's
-    ``mean_log_ratio`` for the uniform base, an upper bound otherwise.
+    Either kind, any base, one theta. The power study reports it as
+    ``delta_closed``. Its ``mean_log_ratio`` tends to min over theta of
+    KL(G(lam, theta0) || F(theta)), which this value bounds from above:
+    equal for the uniform base, which has no theta, and 0 for the
+    second-kind exponential and Weibull, whose powered law stays in the
+    family.
     """
     lam = _finite_positive("lambda", lam)
     return math.log(lam) + (1.0 - lam) / lam
-
-
-def power_loss_integrand_check(lam: float) -> float:
-    """The power loss along its pre-integration-by-parts representation.
-
-    Evaluates ln(lam) + lam*(lam-1) * I with
-    I = integral over (0,1) of u**(lam-1) * ln(u) du computed by
-    quadrature, an independent numerical path to the value of
-    :func:`power_loss_closed`. For lam < 1 the integrand is singular at
-    u = 0; the quadrature's extrapolation handles it, as it does the
-    endpoint singularities inside :func:`kl_numeric`.
-    """
-    lam = _finite_positive("lambda", lam)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        u = np.clip(u, _OPEN_LO, _OPEN_HI)
-        return u ** (lam - 1.0) * np.log(u)
-
-    value, _err = integrate_unit(integrand)
-    return math.log(lam) + lam * (lam - 1.0) * value
 
 
 def kl_numeric(p, q) -> KlResult:
@@ -129,6 +110,14 @@ def kl_numeric(p, q) -> KlResult:
     )
 
 
+def _mean_and_se(values) -> tuple[float, float]:
+    """The mean of ``values`` and its standard error, inf below two values."""
+    mean = float(np.mean(values))
+    if len(values) < 2:
+        return mean, math.inf
+    return mean, float(np.std(values, ddof=1)) / math.sqrt(len(values))
+
+
 def mean_log_ratio_mc(p, q, n: int, seed: int) -> KlResult:
     """Monte Carlo KL(p || q): mean of ln(p/q) over n draws from p.
 
@@ -138,11 +127,7 @@ def mean_log_ratio_mc(p, q, n: int, seed: int) -> KlResult:
     q = _as_extended(q)
     s = sample(p, n, seed)
     lr = np.asarray(p.log_pdf(s.values)) - np.asarray(q.log_pdf(s.values))
-    value = float(np.mean(lr))
-    if len(lr) >= 2:
-        se = float(np.std(lr, ddof=1)) / math.sqrt(len(lr))
-    else:
-        se = math.inf
+    value, se = _mean_and_se(lr)
     return KlResult(
         value=value,
         error_estimate=se,

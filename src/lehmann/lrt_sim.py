@@ -26,17 +26,11 @@ the bits :func:`lrt_statistics` gives its sample alone.
 Per replication the harness also records (full - misspec) / (2n) =
 (ll_full - ll_restricted) / n, the per-observation log likelihood ratio
 of the two fitted alternatives; each cell reports its mean,
-``mean_log_ratio``. As the full fit converges to (lam, theta0) and the
-restricted fit to the pseudo-true theta, the mean estimates min over
-theta of KL(G(lam, theta0) || F(theta)). That limit is at most
-KL(G(lam, theta0) || F(theta0)) = ln(lam) + (1 - lam)/lam, the closed
-form of ``power_loss_closed`` that the report carries as
-``delta_closed``. It equals it for the uniform base, which has no
-theta, and is 0 for the second-kind exponential and Weibull, whose
-powered law stays in the family, so there the mis-specified test loses
-no power. No claim is made that the divergence (in nats) equals the
-power difference (in probability units); the report exposes the
-qualitative ordering and the divergence separately.
+``mean_log_ratio``, beside ``delta_closed``. :class:`CellResult` says
+what the mean estimates and how ``delta_closed`` bounds it. No claim is
+made that the divergence (in nats) equals the power difference (in
+probability units); the report exposes the qualitative ordering and the
+divergence separately.
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ from .estimate import (
 # unused; bound for the benchmark tracer test, which reads lrt_sim.loglik
 from .estimate import loglik  # noqa: F401
 from .extend import Kind, _coerce_kind, extend
-from .infotheory import power_loss_closed
+from .infotheory import _mean_and_se, power_loss_closed
 from .rng import GENERATOR_ID, open_uniform, substream
 
 logger = logging.getLogger("lehmann.lrt_sim")
@@ -210,18 +204,14 @@ def parse_sim_config(text: str) -> SimConfig:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key or not (value or key == "theta_bounds"):
-            raise ParseError(
-                f"expected 'key = value', got {raw!r}",
-                text=raw, position=lineno,
-            )
+            raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}", text=raw)
         if key not in _FIELD_TEXT:
             raise ParseError(
-                f"unknown config key {key!r}",
-                text=raw, position=lineno,
-                expected=", ".join(_FIELD_TEXT),
+                f"line {lineno}: unknown config key {key!r}",
+                text=raw, expected=", ".join(_FIELD_TEXT),
             )
         if key in entries:
-            raise ParseError(f"duplicate config key {key!r}", text=raw, position=lineno)
+            raise ParseError(f"line {lineno}: duplicate config key {key!r}", text=raw)
         entries[key] = value
 
     missing = [k for k in _FIELD_TEXT if k != "theta_bounds" and k not in entries]
@@ -396,12 +386,15 @@ class CellResult:
     """Power-study results for one grid exponent.
 
     ``mean_log_ratio`` is the mean over kept replications of
-    (full - misspec) / (2n), with standard error ``se_mean_log_ratio``;
-    it estimates min over theta of KL(G(lam, theta0) || F(theta)).
-    ``delta_closed`` is ``ln(lam) + (1-lam)/lam`` = KL(G(lam, theta0) ||
-    F(theta0)): that limit for the uniform base, which has no theta, and
-    an upper bound on it otherwise. The limit is 0 for the second-kind
-    exponential and Weibull, whose powered law stays in the family.
+    (full - misspec) / (2n), with standard error ``se_mean_log_ratio``.
+    As the full fit converges to (lam, theta0) and the restricted fit to
+    the pseudo-true theta, it estimates min over theta of
+    KL(G(lam, theta0) || F(theta)). ``delta_closed`` is
+    ``ln(lam) + (1-lam)/lam`` = KL(G(lam, theta0) || F(theta0)): that
+    limit for the uniform base, which has no theta, and an upper bound on
+    it otherwise. The limit is 0 for the second-kind exponential and
+    Weibull, whose powered law stays in the family, so there the
+    mis-specified test loses no power.
     """
 
     lam: float
@@ -506,11 +499,7 @@ def run_power_study(cfg: SimConfig) -> LrtReport:
             p_f, p_m = power.tolist()
             se_f, se_m = np.sqrt(power * (1.0 - power) / kept).tolist()
             ratios = (stats[:, 0] - stats[:, 1]) / (2.0 * cfg.n)
-            mlr = float(np.mean(ratios))
-            se_mlr = (
-                float(np.std(ratios, ddof=1)) / math.sqrt(kept)
-                if kept >= 2 else math.inf
-            )
+            mlr, se_mlr = _mean_and_se(ratios)
         cells.append(
             CellResult(
                 lam=lam,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base_dist import _open_unit
+
 GENERATOR_ID = "pcg64"
 
 _UINT64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -33,7 +35,7 @@ def open_uniform(gen: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` uniforms strictly inside (0, 1).
 
     ``Generator.random`` yields multiples of 2**-53 in [0, 1); an exact
-    zero (mass 2**-53) is raised to the smallest positive double, 5e-324,
-    so quantile functions never see an endpoint.
+    zero (mass 2**-53) is raised to the smallest positive double, so
+    quantile functions never see an endpoint.
     """
-    return np.maximum(gen.random(n), 5e-324)
+    return _open_unit(gen.random(n))

@@ -12,8 +12,6 @@ unambiguously.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .errors import DomainError
 
 WIDTH = 800
@@ -24,6 +22,11 @@ _MARGIN_TOP = 24.0
 _MARGIN_BOTTOM = 64.0
 _TICKS = 5
 _TICK_LEN = 6.0
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped for XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _spread(values):
@@ -90,12 +93,12 @@ def render_curve(xs, ys, x_label: str, y_label: str) -> str:
 
     parts.append(
         f'<text x="{x0 + plot_w / 2:.2f}" y="{HEIGHT - 14:.2f}" font-size="15" '
-        f'text-anchor="middle" font-family="sans-serif">{escape(x_label)}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="20" y="{y0 - plot_h / 2:.2f}" font-size="15" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 20 {y0 - plot_h / 2:.2f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 20 {y0 - plot_h / 2:.2f})">{_escape(y_label)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

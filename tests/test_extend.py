@@ -419,6 +419,17 @@ def test_sample_csv_rejects_malformed_input():
         sample_from_csv("# seed: 1\n\n")  # metadata only
     with pytest.raises(ParseError, match="bad seed metadata 'abc'"):
         sample_from_csv("# seed: abc\nvalue\n0.5\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# seed: 1\n0.5\n", "line 2: sample CSV must start with a 'value' header row "
+                          "(expected value)"),
+    ("value\n0.5\nnot-a-number\n", "line 3: bad numeric row 'not-a-number' "
+                                    "(expected a real number)"),
+])
+def test_sample_csv_errors_name_the_line(text, message):
+    # a line number is not the character offset ``position`` stands for
     with pytest.raises(ParseError) as info:
-        sample_from_csv("value\n0.5\nnot-a-number\n")
-    assert "position 3" in str(info.value)
+        sample_from_csv(text)
+    assert str(info.value) == message
+    assert info.value.position is None

@@ -185,6 +185,22 @@ def test_parse_config_errors():
         parse_sim_config(CONFIG_TEXT.replace("n = 50", "n = abc"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("kind = 1\nbase = uniform()\noops",
+     "line 3: expected 'key = value', got 'oops'"),
+    ("kind = 1\n\n# note\nbogus = 2",
+     "line 4: unknown config key 'bogus' (expected kind, base, lambda_grid, n, "
+     "replications, alpha, seed, calibration_replications, theta_bounds)"),
+    ("kind = 1\nkind = 2", "line 2: duplicate config key 'kind'"),
+])
+def test_parse_config_errors_name_the_line(text, message):
+    # a line number is not the character offset ``position`` stands for
+    with pytest.raises(ParseError) as info:
+        parse_sim_config(text)
+    assert str(info.value) == message
+    assert info.value.position is None
+
+
 def test_config_hash_tracks_content():
     a = parse_sim_config(CONFIG_TEXT)
     b = parse_sim_config(CONFIG_TEXT)  # identical content, fresh object

@@ -238,6 +238,18 @@ def _wild(t):
         return 1.0 / np.sqrt(np.abs(t - 0.3)) + np.cos(1.0 / t) + np.log(1.0 - t) / np.sqrt(t)
 
 
+# quad reports QUADPACK's ier only through its warning message
+_QUAD_IER = {"maximum number of subdivisions": 1, "occurrence of roundoff": 2,
+             "Extremely bad integrand": 3, "does not converge": 4, "probably divergent": 5}
+
+
+def _quad_ier(out):
+    if len(out) < 4:
+        return 0
+    (ier,) = [code for phrase, code in _QUAD_IER.items() if phrase in out[3]]
+    return ier
+
+
 def _assert_qags_matches_quad(f, limit):
     rec = _Recorder()
     value, err, ier = _qags(rec.recorded(f), limit)
@@ -245,16 +257,45 @@ def _assert_qags_matches_quad(f, limit):
         out = integrate.quad(rec.seen, 0.0, 1.0, epsabs=ABS_TOL, epsrel=REL_TOL,
                              limit=limit, full_output=1)
     assert np.array_equal([value, err], out[:2], equal_nan=True)
-    assert (rec.neval, ier != 0) == (out[2]["neval"], len(out) >= 4)
+    assert (rec.neval, ier) == (out[2]["neval"], _quad_ier(out))
 
 
 def _cos_inverse(t):
     return np.cos(1.0 / t)
 
 
+def _steep_line(t):
+    # the first rule's error estimate is all roundoff: ier 2 at once
+    return 1e5 * (t - 0.5)
+
+
+def _log_slow(t):
+    # the integral of 1/(t (1 - ln t)**3) is 1/2, but its tail shrinks
+    # only like 1/ln(t)**2, too slowly for the epsilon algorithm to cut its
+    # table: the table reaches its 50 entries and is shifted down
+    return 1.0 / (t * (1.0 - np.log(t)) ** 3)
+
+
+def _pole_pair(t):
+    # t**-0.9 on (0, 1/16), its negative shifted onto (1/16, 1/8), zero
+    # beyond. The offsets are rounded to float32, so the rules on the two
+    # halves see the same values with opposite signs and their areas
+    # cancel exactly: the summed area or the extrapolated result is 0.0
+    # when the subdivision limit stops the search
+    left = t < 0.0625
+    s = np.where(left, t, t - 0.0625).astype(np.float32).astype(np.float64)
+    v = np.where(left, 1.0, -1.0) * np.maximum(s, 2.0 ** -60) ** -0.9
+    return np.where(t < 0.125, v, 0.0)
+
+
+# _qelg's return for a table of fewer than 3 entries has no caller:
+# _qags first calls it with 3 entries, and a table cut to 1 entry sets
+# noext, so no later call has fewer than 4.
 @pytest.mark.parametrize("f, limit", [
     pytest.param(f, n, id=f"{f.__name__.strip('_')}-{n}")
-    for f, limits in ((_wild, (1, 2, 3, 7, 40, 101, 1000)), (_cos_inverse, (30, 300, 3000)))
+    for f, limits in ((_wild, (1, 2, 3, 7, 40, 101, 1000)), (_cos_inverse, (30, 300, 3000)),
+                      (_steep_line, (MAX_SUBDIVISIONS,)), (_log_slow, (MAX_SUBDIVISIONS,)),
+                      (_pole_pair, (9, 17)))
     for n in limits])
 def test_qags_matches_quadpack_under_a_subdivision_limit(f, limit):
     # past limit/2 subdivisions only part of the error list is kept sorted

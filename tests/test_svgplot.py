@@ -1,5 +1,8 @@
 """Direct checks of the standalone SVG line chart."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -43,6 +46,16 @@ def test_flat_curve_still_renders():
     svg = render_curve([0.0, 1.0, 2.0], [4.0, 4.0, 4.0], "x", "y")
     root = ET.fromstring(svg)
     assert len(root.findall(f".//{NS}path")) == 1
+
+
+def test_cli_import_loads_no_xml_module():
+    # xml.sax.saxutils, once imported for its escape, pulls in urllib.request
+    code = ("import sys, lehmann.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'xml'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_labels_are_escaped():

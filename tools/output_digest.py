@@ -18,7 +18,11 @@ checkout's ``src``). Each line is ``group items sha256``. The groups:
 - ``loglik_ends``: ``loglik`` on samples holding the support ends;
 - ``kl_numeric``: 48 divergences (3 bases x 2 kinds x 4 exponents, both
   directions against lambda 1) with their integrand node counts;
-- ``moments``: the first two moments of the same 24 powered laws.
+- ``moments``: the first two moments of the same 24 powered laws;
+- ``cli``: the ``lehmann`` command run in process on six powered laws
+  (3 bases x 2 kinds, lambda 2.5): ``sample`` as CSV and JSON, ``fit``
+  on that CSV, ``moments`` as CSV and JSON, ``kl`` against lambda 1,
+  then ``powerloss`` as CSV and SVG. Only successful runs are digested.
 
 Floats are written by ``repr``, so every bit counts, and an error is
 written as its type and message. numpy's SIMD log and exp may round
@@ -29,8 +33,11 @@ The script takes a few seconds.
 import hashlib
 import itertools
 
+from click.testing import CliRunner
+
 import lehmann as L
 from lehmann import infotheory
+from lehmann.cli import main as cli_main
 
 BASES = (L.Uniform(), L.Exponential(1.0), L.Weibull(2.0, 1.0))
 KINDS = (L.Kind.FIRST, L.Kind.SECOND)
@@ -126,7 +133,31 @@ def moments():
             yield _outcome(lambda: p.moment(k))
 
 
-GROUPS = (power_study, fits, lrt_statistics, loglik_ends, kl_numeric, moments)
+def cli():
+    runner = CliRunner()
+
+    def run(*args, stdin=None):
+        result = runner.invoke(cli_main, list(args), input=stdin, catch_exceptions=False)
+        if result.exit_code != 0:
+            raise SystemExit(f"lehmann {' '.join(args)} exited {result.exit_code}: "
+                             f"{result.output}")
+        return result.stdout
+
+    for base, kind in itertools.product(BASES, KINDS):
+        p = L.extend(base, 2.5, kind).describe()
+        csv = run("sample", "--dist", p, "--n", "30", "--seed", "5")
+        yield csv
+        yield run("sample", "--dist", p, "--n", "30", "--seed", "5", "--format", "json")
+        yield run("fit", "-", stdin=csv)
+        for fmt in ("csv", "json"):
+            yield run("moments", "--dist", p, "--k", "2", "--format", fmt)
+        yield run("kl", "--p", p, "--q", L.extend(base, 1.0, kind).describe())
+    for fmt in ("csv", "svg"):
+        yield run("powerloss", "--lambda-min", "0.25", "--lambda-max", "8",
+                  "--steps", "12", "--format", fmt)
+
+
+GROUPS = (power_study, fits, lrt_statistics, loglik_ends, kl_numeric, moments, cli)
 
 
 def main():
