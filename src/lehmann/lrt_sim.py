@@ -17,7 +17,10 @@ n). The chi-square comparison appears only in a diagnostic log line.
 Reproducibility: every replication draws from a dedicated generator
 stream keyed by (seed, cell_index, replication_index), where cell 0 is
 calibration and grid cell i uses index i + 1. Reports are therefore
-byte-identical across runs and schedule-independent.
+byte-identical across runs and schedule-independent. A block of
+replications draws its streams in one numpy pass
+(:func:`lehmann.rng.block_uniforms`), equal bit for bit to drawing each
+from :func:`lehmann.rng.substream`, which stays the definition.
 
 The replications of a cell are drawn into ``(R, n)`` blocks and fitted
 together by the block engine of :mod:`lehmann.estimate`; every row gets
@@ -63,7 +66,7 @@ from .estimate import (
 from .estimate import loglik  # noqa: F401
 from .extend import Kind, _coerce_kind, extend
 from .infotheory import _mean_and_se, power_loss_closed
-from .rng import GENERATOR_ID, open_uniform, substream
+from .rng import GENERATOR_ID, block_uniforms
 
 logger = logging.getLogger("lehmann.lrt_sim")
 
@@ -152,7 +155,7 @@ def _parse_kind(text: str) -> Kind:
     # a kind is named by its number or its name: 1, first, 2 or second
     names = {name: kind for kind in Kind for name in (str(kind.value), kind.name.lower())}
     if text.lower() not in names:
-        raise ParseError(f"config key 'kind': cannot parse {text!r}", expected=", ".join(names))
+        raise ParseError(f"cannot parse {text!r}", text=text, expected=", ".join(names))
     return names[text.lower()]
 
 
@@ -162,11 +165,11 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     for chunk in text.split(",") if text else ():
         lo, sep, hi = chunk.partition(":")
         if not sep:
-            raise ParseError(f"config key 'theta_bounds': expected lo:hi, got {chunk!r}")
+            raise ParseError(f"expected lo:hi, got {chunk!r}", text=text)
         try:
             pairs.append((float(lo), float(hi)))
         except ValueError:
-            raise ParseError(f"config key 'theta_bounds': cannot parse {chunk!r}") from None
+            raise ParseError(f"cannot parse {chunk!r}", text=text) from None
     return tuple(pairs)
 
 
@@ -196,7 +199,7 @@ def parse_sim_config(text: str) -> SimConfig:
     comma-separated lo:hi pairs, one per base parameter; empty for a
     parameter-free base, as the canonical text writes it).
     """
-    entries: dict[str, str] = {}
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(str(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,21 +215,27 @@ def parse_sim_config(text: str) -> SimConfig:
             )
         if key in entries:
             raise ParseError(f"line {lineno}: duplicate config key {key!r}", text=raw)
-        entries[key] = value
+        entries[key] = lineno, value
 
     missing = [k for k in _FIELD_TEXT if k != "theta_bounds" and k not in entries]
     if missing:
         raise ParseError(f"missing config key(s): {', '.join(missing)}")
 
     values = {}
-    try:
-        for key, (parse, _) in _FIELD_TEXT.items():
-            if key in entries:
-                values[key] = parse(entries[key])
-    except ParseError:
-        raise
-    except ValueError:
-        raise ParseError(f"config key {key!r}: cannot parse {entries[key]!r}") from None
+    for key, (parse, _) in _FIELD_TEXT.items():
+        if key not in entries:
+            continue
+        lineno, value = entries[key]
+        where = f"line {lineno}: config key {key!r}"
+        try:
+            values[key] = parse(value)
+        except ParseError as exc:
+            # the parser's message already spells out its position and expectation
+            err = ParseError(f"{where}: {exc}")
+            err.text, err.position, err.expected = exc.text, exc.position, exc.expected
+            raise err from None
+        except ValueError:
+            raise ParseError(f"{where}: cannot parse {value!r}", text=value) from None
     try:
         return SimConfig(**values)
     except DomainError as exc:
@@ -321,11 +330,13 @@ def lrt_statistics(s, cfg: SimConfig) -> tuple[float, float]:
 
 
 def _draw_block(cfg: SimConfig, dist, cell: int, reps) -> np.ndarray:
-    """Replications ``reps`` of one stream cell, one row each."""
-    u = np.empty((len(reps), cfg.n))
-    for i, rep in enumerate(reps):
-        u[i] = open_uniform(substream(cfg.seed, cell, rep), cfg.n)
-    return dist.quantile(u)
+    """Replications ``reps`` of one stream cell, one row each.
+
+    The block's streams are seeded and drawn in one pass by
+    :func:`~lehmann.rng.block_uniforms`; row i is bit for bit the sample
+    of ``substream(cfg.seed, cell, reps[i])``, which stays the definition.
+    """
+    return dist.quantile(block_uniforms(cfg.seed, cell, reps, cfg.n))
 
 
 def _cell_statistics(cfg: SimConfig, dist, cell: int, replications: int):

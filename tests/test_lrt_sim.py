@@ -201,6 +201,28 @@ def test_parse_config_errors_name_the_line(text, message):
     assert info.value.position is None
 
 
+def test_a_field_parser_error_names_the_line_and_key(tmp_path):
+    # the descriptor parser's own error, prefixed; its text, position and
+    # expectation are kept, the position counting into that text
+    text = CONFIG_TEXT.replace("exponential(rate=1.0)", "weibull(shape=2,scale=1")
+    with pytest.raises(ParseError) as info:
+        parse_sim_config(text)
+    assert str(info.value) == (
+        "line 3: config key 'base': found 'end of input' at position 23 (expected ')')")
+    assert info.value.text == "weibull(shape=2,scale=1"
+    assert info.value.position == 23
+    assert info.value.expected == "')'"
+    with pytest.raises(ParseError) as info:
+        parse_sim_config(CONFIG_TEXT.replace("kind = first", "kind = third"))
+    assert str(info.value) == (
+        "line 2: config key 'kind': cannot parse 'third' (expected 1, first, 2, second)")
+    cfg = tmp_path / "bad_base.cfg"
+    cfg.write_text(text)
+    res = CliRunner().invoke(main, ["simulate", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert "line 3: config key 'base'" in res.output
+
+
 def test_config_hash_tracks_content():
     a = parse_sim_config(CONFIG_TEXT)
     b = parse_sim_config(CONFIG_TEXT)  # identical content, fresh object
