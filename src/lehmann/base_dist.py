@@ -31,6 +31,17 @@ w share a large term that would cancel, as the second-kind Weibull's
 ``z``. It is called only on samples inside the support, and its callers
 silence floating-point warnings.
 
+One fitting hook is optional too: the classmethod ``_concentrate(X,
+bounds)``. At lambda = 1 the powered law is the base itself, whatever the
+kind, so the restricted fit there is the family's own MLE, which often
+has a closed form in some parameters. The hook returns a reduced box of
+at most one side and a map from its points, one ``(R, d')`` row per
+sample row of the ``(R, n)`` block X, to theta ``(R, d)`` inside the open
+box; the fit searches the reduced box (none when it is empty) and scores
+the mapped points. The default keeps the box and maps theta to itself.
+The exponential reduces to no side (rate 1 / mean, clipped), the Weibull
+to its shape (the scale is a closed form of the shape).
+
 The log kernels (``_log_pdf``, ``_log_cdf``, ``_log_sf`` and the
 optional kernel) are the kernels the likelihood engine uses. They must
 also work on the unvalidated instance
@@ -179,8 +190,9 @@ class BaseDistribution(_Law, ABC):
     Subclasses are frozen dataclasses whose fields are the parameters, in
     ``param_names`` order. They implement ``support`` and the kernels
     ``_log_pdf``, ``_log_sf`` and ``_quantile``, and may override the
-    fused ``_log_hazard_and_kernel`` (see the module docstring); the log
-    kernels also accept parameter columns (see :meth:`_at_columns`).
+    fused ``_log_hazard_and_kernel`` and the fitting hook ``_concentrate``
+    (see the module docstring); the log kernels also accept parameter
+    columns (see :meth:`_at_columns`).
     """
 
     family_id: ClassVar[str]
@@ -251,6 +263,17 @@ class BaseDistribution(_Law, ABC):
         # the tail has more resolution than 1 - s can carry
         u = np.minimum(1.0 - np.asarray(s, dtype=float), _OPEN_HI)
         return self._quantile(u)
+
+    @classmethod
+    def _concentrate(cls, X, bounds):
+        # the reduced box of the fit at lambda = 1 and the map from its
+        # points to theta; see the module docstring. By default nothing reduces
+        return bounds, lambda v: v
+
+
+def _open_box(lo, hi):
+    """The float bounds one step inside the box side (lo, hi)."""
+    return np.nextafter(lo, hi), np.nextafter(hi, lo)
 
 
 # -- bundled families -------------------------------------------------------
@@ -355,6 +378,15 @@ class Exponential(BaseDistribution):
     def _quantile_sf(self, s):
         return -np.log(s) / self.rate
 
+    # ln L(rate) = n ln(rate) - rate sum x is concave, so the box maximum is
+    # 1 / mean clipped into the open box: nothing is left to search
+    @classmethod
+    def _concentrate(cls, X, bounds):
+        (side,) = bounds
+        with np.errstate(divide="ignore", over="ignore"):
+            rate = np.clip(1.0 / X.mean(axis=1, keepdims=True), *_open_box(*side))
+        return (), lambda v: rate
+
 
 @register_family
 @dataclass(frozen=True)
@@ -415,6 +447,31 @@ class Weibull(BaseDistribution):
         if ones.any():
             body = np.where(ones, -np.log(s), body)
         return body, -z
+
+    # at a fixed shape k, ln L is concave in t = scale**-k with its maximum
+    # at scale**k = mean x**k, so that scale clipped into the box is the box
+    # maximum at k; what is left is a line search over ln k (over k where
+    # the side reaches 0). It runs a little past both ends, where k is
+    # clipped to the end itself: a line search closes short of an edge, but
+    # reaches a flat stretch beyond it
+    @classmethod
+    def _concentrate(cls, X, bounds):
+        (k_lo, k_hi), (scale_lo, scale_hi) = (_open_box(*side) for side in bounds)
+        log = bounds[0][0] > 0.0
+        lo, hi = (math.log(k_lo), math.log(k_hi)) if log else (k_lo, k_hi)
+        pad = 1e-3 * (hi - lo)
+        with np.errstate(divide="ignore"):
+            log_x = np.log(X)
+
+        def to_theta(v):
+            k = np.clip(np.exp(v) if log else v, k_lo, k_hi)
+            # ln mean x**k, shifted by the row's largest k ln x against overflow
+            kx = k * log_x
+            top = kx.max(axis=1, keepdims=True)
+            log_mean = top + np.log(np.exp(kx - top).mean(axis=1, keepdims=True))
+            return np.hstack([k, np.clip(np.exp(log_mean / k), scale_lo, scale_hi)])
+
+        return ((lo - pad, hi + pad),), to_theta
 
     # quantiles never see parameter columns, so ``**`` is safe below
     def _quantile(self, u):

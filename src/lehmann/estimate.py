@@ -12,6 +12,13 @@ low-discrepancy multistart set; its gradient and Hessian come from a
 central-difference stencil of the profile, so no analytic derivatives
 are needed.
 
+A fit at a fixed lambda = 1 is the base family's own MLE, whatever the
+kind, and goes through the family's concentrated form
+(``BaseDistribution._concentrate``) where it has one: the exponential's
+rate is 1 / mean clipped into the box, with nothing left to search, and
+the Weibull's scale is a closed form of its shape, so one line search
+over the shape is left. The same search then runs on that reduced box.
+
 Every fit runs on one block engine. An ``(R, n)`` block of samples is
 validated once (family, bounds box, support). A row is a (sample,
 multistart) pair. Every objective evaluation is a single call of the
@@ -39,7 +46,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base_dist import BaseDistribution, _finite_positive, _is_real, lookup_family
+from .base_dist import BaseDistribution, _finite_positive, _is_real, _open_box, lookup_family
 from .errors import DegenerateSampleError, DomainError, SupportError
 from .extend import Kind, _coerce_kind, sample_values
 
@@ -215,14 +222,16 @@ def mle_lambda(kind, base_family, theta, s) -> float:
     smaller than 1e-300 in magnitude (all F(x_j) at the opposite end).
     """
     kind, base, x = _validated_point(kind, base_family, theta, s)
+    first = kind is Kind.FIRST
     # the w the likelihood engine reads, under the same warnings policy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = base._log_hazard_and_kernel(x, kind is Kind.FIRST)[1]
+        w = base._log_hazard_and_kernel(x, first)[1]
     total = float(w.sum(axis=1)[0])
     if _saturated(total):
+        terms, law = ("ln F", "CDF") if first else ("ln(1 - F)", "survival function")
         raise DegenerateSampleError(
-            f"sum of log-CDF terms is {total!r}; the sample saturates the "
-            f"base CDF under {base.describe()} and the exponent MLE is undefined"
+            f"sum of {terms} terms is {total!r}; the sample saturates the base "
+            f"{law} under {base.describe()} and the exponent MLE is undefined"
         )
     return -x.shape[1] / total
 
@@ -260,7 +269,7 @@ def _unit_map(bounds):
     log = lo > 0.0
     at = np.where(log, np.log(np.where(log, lo, 1.0)), lo)
     span = np.where(log, np.log(np.where(log, hi, 1.0)), hi) - at
-    inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    inner_lo, inner_hi = _open_box(lo, hi)
 
     def to_theta(u):
         theta = at + u * span
@@ -592,30 +601,41 @@ def _fit_block(kind: Kind, family, X, bounds, lam, extras=()):
     """Maximize ln L over theta for every row of a validated block.
 
     The one place that decides the empty box: it has one point, theta =
-    (), evaluated without a search. One parameter: a Brent search over
-    its side of the box. More: the Newton search from the multistart set,
-    one engine row per (sample, start) pair. Then the direct candidates
-    ``extras`` (each (R, d), one point per sample) are scored. Returns
-    ``(theta_hat, value, degenerate, candidates, capped)``: the best theta
-    per row with :func:`_evaluate`'s value and mask there; the scored
-    ``[(theta (R, d), value (R,)), ...]`` in the order _pick_best reads
-    them (none without a search); and each sample's starts left at the
-    Newton search's iteration cap.
+    (), evaluated without a search. At lam == 1 the family's concentrated
+    form first reduces the box, to no side (one point per row, scored
+    without a search) or to one. One side: a Brent search over it. More:
+    the Newton search from the multistart set, one engine row per
+    (sample, start) pair. Then the direct candidates ``extras`` (each
+    (R, d), one point per sample) are scored. Returns ``(theta_hat,
+    value, degenerate, candidates, capped)``: the best theta per row with
+    :func:`_evaluate`'s value and mask there; the scored ``[(theta (R,
+    d), value (R,)), ...]`` in the order _pick_best reads them (none for
+    the empty box); and each sample's starts left at the Newton search's
+    iteration cap.
     """
     candidates, capped = [], np.zeros(len(X), dtype=int)
     if not bounds:
         theta_hat = np.empty((len(X), 0))
     else:
         h = _scorer(kind, family, X, lam)
-        if len(bounds) == 1:
+        # at lam == 1 the law is the base itself, whatever the kind: the
+        # family may reduce its own MLE to a smaller box (the default keeps it)
+        to_theta, box = (lambda v: v), bounds
+        if lam == 1.0:
+            box, to_theta = family._concentrate(X, bounds)
+        if not box:
+            theta = to_theta(np.empty((len(X), 0)))
+            candidates.append((theta, h(theta)))
+        elif len(box) == 1:
             # a line search over the full side does not depend on a start
-            (lo, hi), = bounds
-            s, value = _golden_max(lambda s: h(lo + s[:, None] * (hi - lo)),
+            (lo, hi), = box
+            s, value = _golden_max(lambda s: h(to_theta(lo + s[:, None] * (hi - lo))),
                                    np.zeros(len(X)), np.ones(len(X)))
-            candidates.append((lo + s[:, None] * (hi - lo), value))
+            candidates.append((to_theta(lo + s[:, None] * (hi - lo)), value))
         else:
-            to_theta = _unit_map(bounds)
-            starts = _unit_starts(len(bounds))
+            # a reduced box has at most one side: this box is the whole box
+            to_theta = _unit_map(box)
+            starts = _unit_starts(len(box))
             per = len(starts)
             sample_of = np.repeat(np.arange(len(X)), per)
             u, value, stopped = _newton_max(lambda rows, u: h(to_theta(u), sample_of[rows]),
@@ -654,7 +674,7 @@ def _fit(kind, base_family, s, lam, theta_bounds) -> FitResult:
     _check_support(member, X)
     theta, _, _, candidates, capped = _fit_block(kind, family, X, bounds, lam)
     theta_hat = tuple(float(v) for v in theta[0])
-    # a fit without a search has no trace
+    # a fit of the empty box has no trace
     trace = tuple((tuple(float(v) for v in t[0]), float(val[0])) for t, val in candidates) or None
     warnings = _boundary_warnings(theta_hat, bounds)
     if capped[0]:
@@ -691,6 +711,7 @@ def fit_full(kind, base_family, s, theta_bounds=None) -> FitResult:
 
 
 def fit_restricted(kind, base_family, s, lambda_fixed, theta_bounds=None) -> FitResult:
-    """Maximize ll(lambda_fixed, theta) over theta only."""
+    """Maximize ll(lambda_fixed, theta) over theta only; at lambda_fixed = 1
+    through the family's concentrated form (see the module docstring)."""
     lam = _finite_positive("lambda_fixed", lambda_fixed)
     return _fit(kind, base_family, s, lam, theta_bounds)

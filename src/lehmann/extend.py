@@ -269,9 +269,10 @@ def sample_to_csv(s: Sample) -> str:
 def sample_from_csv(text: str) -> Sample:
     """Parse the format written by :func:`sample_to_csv`."""
     meta: dict[str, str] = {}
-    values: list[float] = []
+    values: list[float] | np.ndarray = []
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -287,7 +288,14 @@ def sample_from_csv(text: str) -> Sample:
                     text=raw, expected="value",
                 )
             saw_header = True
-            continue
+            # when every later line is a number, float() reads them in one
+            # pass; a blank, '#' or bad line raises, and the loop goes on
+            body = lines[lineno:]
+            try:
+                values = np.fromiter(map(float, body), float, len(body))
+                break
+            except ValueError:
+                continue
         try:
             values.append(float(line))
         except ValueError:

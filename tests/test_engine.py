@@ -112,7 +112,8 @@ def test_block_search_record_is_the_lone_fits_trace(monkeypatch, base, kind, lam
     X = _draw_block(cfg, extend(base, 2.0, kind), 1, range(4))
     bounds = cfg.theta_bounds
     theta_hat, _, _, candidates, capped = _fit_block(kind, type(base), X, bounds, lam)
-    if len(bounds) > 1 and max_iter == 2:
+    # at lambda = 1 a Weibull fit runs a line search, which has no such cap
+    if len(bounds) > 1 and lam != 1.0 and max_iter == 2:
         assert capped.any()
     for r, x in enumerate(X):
         if lam is None:
@@ -246,10 +247,16 @@ def test_rows_at_the_iteration_cap_are_reported(monkeypatch):
 def _reference_fit(kind, family, x, bounds, lam, extras):
     """Best theta by one public loglik call per objective evaluation.
 
-    One parameter: scipy's bounded Brent over its box side mapped to
-    [0, 1]. More: the engine's Newton search on the unit cube, from the
-    engine's starts, with every stencil and trial point evaluated alone.
+    At lambda = 1 the box is first reduced by the family's concentrated
+    form for the lone sample: the exponential's clipped 1 / mean has no
+    side left, the Weibull's shape has one. One side: scipy's bounded
+    Brent over it mapped to [0, 1]. More: the engine's Newton search on
+    the unit cube, from the engine's starts, with every stencil and trial
+    point evaluated alone.
     """
+    to_theta = lambda v: v  # noqa: E731
+    if lam == 1.0:
+        bounds, to_theta = family._concentrate(x[None, :], bounds)
 
     def h(theta):
         try:
@@ -259,10 +266,17 @@ def _reference_fit(kind, family, x, bounds, lam, extras):
         value = loglik(kind, family, theta, at, x)
         return -math.inf if math.isnan(value) else value
 
-    if len(bounds) == 1:
+    if not bounds:
+        theta = tuple(to_theta(np.empty((1, 0)))[0])
+        finals = [(theta, h(theta))]
+    elif len(bounds) == 1:
         (lo, hi), = bounds
-        res = _brent(lambda s: h([lo + s * (hi - lo)]), 0.0, 1.0)
-        finals = [((lo + res.x * (hi - lo),), -res.fun)]
+
+        def at(s):
+            return tuple(to_theta(np.array([[lo + s * (hi - lo)]]))[0])
+
+        res = _brent(lambda s: h(at(s)), 0.0, 1.0)
+        finals = [(at(res.x), -res.fun)]
     else:
         to_theta = _unit_map(bounds)
         u, value, _ = _newton_max(
@@ -307,6 +321,82 @@ def test_block_rows_equal_the_scalar_reference(base, kind, lam):
     full, misspec = stats.T
     assert not failed.any()
     assert list(zip(full, misspec)) == [_reference_lrt(x, cfg) for x in X]
+
+
+# -- the concentrated fit at lambda = 1 ---------------------------------------
+
+
+def _weibull_rows(seeds, per=10):
+    """Blocks of ``per`` rows drawn at lambda 1 and at 3, per seed, from
+    first- and second-kind Weibull(2, 1) studies with n 50 (default box)."""
+    for seed in seeds:
+        for kind in (Kind.FIRST, Kind.SECOND):
+            cfg = _cfg(Weibull(2.0, 1.0), kind, n=50, seed=seed)
+            for cell, lam in enumerate((1.0, 3.0)):
+                yield cfg, _draw_block(cfg, extend(cfg.base, lam, kind), cell, range(per))
+
+
+def _outside_boxes():
+    """Rows whose 1 / mean, shape or scale optimum lies outside the box."""
+    cfg = _cfg(Exponential(1.0), Kind.FIRST, n=50, seed=11)
+    X = _draw_block(cfg, cfg.base, 0, range(8))
+    for box in [((3.0, 9.0),), ((0.1, 0.5),)]:
+        yield Exponential, X, box
+    cfg = _cfg(Weibull(2.0, 1.0), Kind.FIRST, n=50, seed=11)
+    X = _draw_block(cfg, cfg.base, 0, range(8))
+    for box in [((4.0, 40.0), (0.05, 20.0)), ((0.1, 1.0), (0.05, 20.0)),
+                ((0.1, 40.0), (0.05, 0.5)), ((0.1, 40.0), (3.0, 20.0)),
+                ((0.0, 1.5), (2.0, 20.0))]:
+        yield Weibull, X, box
+
+
+def _restricted_cases():
+    for cfg, X in _weibull_rows(range(811, 826)):
+        yield Weibull, X, cfg.theta_bounds
+    yield from _outside_boxes()
+
+
+def test_concentrated_fit_is_no_worse_than_the_general_search(monkeypatch):
+    # the general search is what a family without the hook runs: Brent over
+    # the rate, the Newton multistart for the Weibull (at lambda = 1 the
+    # kind does not matter)
+    for family, X, box in _restricted_cases():
+        _, value, *_ = _fit_block(Kind.FIRST, family, X, box, 1.0)
+        with monkeypatch.context() as m:
+            m.delattr(family, "_concentrate")
+            _, general, *_ = _fit_block(Kind.FIRST, family, X, box, 1.0)
+        assert np.all(value >= general - 1e-12 * (1.0 + np.abs(general))), (family, box)
+
+
+def test_no_shape_on_a_fine_grid_beats_the_concentrated_fit():
+    # 4,000 points along the searched shape side, each at its concentrated
+    # scale (the fit is the same for both kinds at lambda = 1)
+    cases = [(Weibull, X, cfg.theta_bounds) for cfg, X in _weibull_rows(range(811, 814))]
+    cases += [case for case in _outside_boxes() if case[0] is Weibull]
+    for family, X, box in cases:
+        _, value, *_ = _fit_block(Kind.FIRST, family, X, box, 1.0)
+        for x, best in zip(X, value):
+            ((lo, hi),), to_theta = family._concentrate(x[None, :], box)
+            theta = to_theta(np.linspace(lo, hi, 4000)[:, None])
+            grid = estimate._evaluate(Kind.FIRST, family._at_columns(theta), x[None, :], 1.0)[0]
+            assert grid.max() <= best + 1e-12 * (1.0 + abs(best)), box
+
+
+def test_nesting_holds_on_every_concentrated_row():
+    for cfg, X in _weibull_rows(range(811, 826)):
+        stats, failed = _lrt_rows(cfg, X)
+        assert not failed.any()
+        full, misspec = stats.T
+        assert np.all(full >= misspec) and np.all(misspec >= 0.0)
+
+
+def test_concentrated_weibull_scale_does_not_overflow():
+    # x**k overflows at x = 1e300 for any k > 1.03; its log mean does not
+    X = np.array([[1e300, 2e300, 5e299]])
+    _, to_theta = Weibull._concentrate(X, ((0.1, 40.0), (1e299, 1e302)))
+    k, scale = to_theta(np.log([[30.0]]))[0]
+    mean = np.mean([1.0, 2.0 ** k, 0.5 ** k])
+    assert scale == pytest.approx(1e300 * math.exp(math.log(mean) / k), rel=1e-13)
 
 
 def test_objective_calls_are_chunked_without_changing_a_bit(monkeypatch):
@@ -375,23 +465,25 @@ def _float_fingerprint() -> str:
 # report bytes with them
 RECORDED_FLOATS = "8062d9b35ed497d6ef59bb33124e1ab044cd9db6fe1028142b3fe33bc9713b66"
 
-# SHA-256 of LrtReport.to_json(), recorded when the engine began summing
-# ln f - w (the log hazard) and two-parameter fits began using the Newton
-# search: "exponential" moved in the last ulps (crit_full by 1.4e-14,
-# mean_log_ratio by 5.6e-17), "weibull-second-kind" by at most 1.7e-13
-# (critical values); every power count was the same
+# SHA-256 of LrtReport.to_json(), recorded when the restricted fits at
+# lambda = 1 began using the families' concentrated forms (the closed-form
+# exponential rate, a line search over the Weibull shape): against the
+# Brent and Newton searches before, crit_misspec moved by 7.1e-15
+# ("exponential") and -3.6e-15 ("weibull-second-kind"), mean_log_ratio by
+# at most 2.5e-16 and its standard error by at most 6.5e-18; crit_full and
+# every power count were the same
 PINNED_REPORTS = {
     "exponential": (
         dict(kind=Kind.FIRST, base=Exponential(1.0),
              lambda_grid=(1.0, 2.0), n=30, replications=100, alpha=0.1,
              seed=2024, calibration_replications=1000),
-        "f92314fea83ce97e1067184e1397e4de49e75d1f636176bbf6c71403be1efdb5",
+        "396af4e7ec4f5afa100ea63cce104f71613eefa161d8d1ad696634b258322942",
     ),
     "weibull-second-kind": (
         dict(kind=Kind.SECOND, base=Weibull(2.0, 1.0),
              lambda_grid=(1.0, 0.5), n=20, replications=100, alpha=0.1,
              seed=2025, calibration_replications=1000),
-        "e578e01df86d609f8b1bb71b304117df5499d66e984a865e52736da244c389d0",
+        "5af6c3e53a3110d40e905869421ef6ed964c273ccdc3d80d9c756d8303c712b3",
     ),
 }
 
@@ -406,8 +498,8 @@ def test_report_bytes_are_pinned(name):
 
 
 # SHA-256 of LrtReport.to_csv() for the "exponential" study above, recorded
-# with the log-hazard sums
-PINNED_CSV = "2064cf20d1f46b267cecdc5232ce3db3c5cc7220b66365f6591f9c307dd3ac9a"
+# with the concentrated restricted fits
+PINNED_CSV = "3fe63165c22f349b2841c4e92d816799b8e416b53b45145441419a8728b23679"
 
 
 def test_report_csv_bytes_are_pinned():

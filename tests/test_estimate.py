@@ -123,6 +123,18 @@ def test_mle_lambda_degenerate_zero_cdf():
         mle_lambda(Kind.FIRST, Exponential, (1.0,), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("kind,x,terms,law", [
+    (Kind.FIRST, [1000.0], "ln F", "CDF"),
+    (Kind.SECOND, [0.0], "ln(1 - F)", "survival function"),
+], ids=["first", "second"])
+def test_mle_lambda_error_names_the_kernel_of_its_kind(kind, x, terms, law):
+    with pytest.raises(DegenerateSampleError) as info:
+        mle_lambda(kind, Exponential, (1.0,), x)
+    assert str(info.value) == (
+        f"sum of {terms} terms is 0.0; the sample saturates the base {law} under "
+        "exponential(rate=1.0) and the exponent MLE is undefined")
+
+
 @dataclass(frozen=True)
 class _NudgedKernel(Exponential):
     """Test-only: the fused kernel's w sits one ulp below ``_log_cdf``."""
@@ -280,7 +292,22 @@ def test_fit_restricted_lambda_one_matches_base_mle():
     x = sample(extend(Exponential(2.0), 1.0), 5_000, 4).values
     fit = fit_restricted(Kind.FIRST, Exponential, x, 1.0, EXP_BOUNDS)
     closed = x.size / x.sum()
-    assert fit.theta_hat[0] == pytest.approx(closed, abs=1e-6)
+    assert fit.theta_hat[0] == pytest.approx(closed, rel=1e-15)
+
+
+@pytest.mark.parametrize("lam,seed", [(1.0, 5), (0.4, 6), (3.0, 7)])
+def test_weibull_fit_restricted_lambda_one_is_the_base_mle(lam, seed):
+    # at lambda = 1 the law is the base whatever the kind, so both kinds
+    # give one fit, and it is scipy's Weibull MLE or better
+    from scipy.stats import weibull_min
+
+    x = sample(extend(Weibull(2.0, 1.0), lam), 200, seed).values
+    box = ((0.1, 40.0), (0.05, 20.0))
+    first, second = (fit_restricted(kind, "weibull", x, 1.0, box)
+                     for kind in (Kind.FIRST, Kind.SECOND))
+    assert (first.theta_hat, first.loglik) == (second.theta_hat, second.loglik)
+    shape, _, scale = weibull_min.fit(x, floc=0)
+    assert first.loglik >= loglik(Kind.FIRST, Weibull, (shape, scale), 1.0, x) - 1e-9
 
 
 @pytest.mark.parametrize("lambda_fixed", [0.5, 1.0, 2.0, 5.0])
@@ -304,8 +331,9 @@ def test_compose_rescales_lambda_hat():
                          ids=["lower", "upper"])
 @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
 def test_boundary_solution_warns(box, edge, restricted):
-    # truth rate 1.0 sits outside the box, the fit pins to its edge; the
-    # search closes 2-3e-8 short of it, more than twice its 1e-8 tolerance
+    # truth rate 1.0 sits outside the box, the fit pins to its edge: the
+    # full fit's search closes 2-3e-8 short of it, more than twice its 1e-8
+    # tolerance, and the restricted fit's 1 / mean is clipped one ulp inside
     x = sample(extend(Exponential(1.0), 1.0), 1_000, 6).values
     if restricted:
         fit = fit_restricted(Kind.FIRST, Exponential, x, 1.0, (box,))
@@ -313,6 +341,9 @@ def test_boundary_solution_warns(box, edge, restricted):
         fit = fit_full(Kind.FIRST, Exponential, x, (box,))
     (rate,) = fit.theta_hat
     assert 0.0 < min(rate - box[0], box[1] - rate) < 1e-7
+    if restricted:
+        edge_value = box[edge == "upper"]
+        assert rate == np.nextafter(edge_value, box[edge == "lower"])
     assert fit.warnings == (f"theta[0]={rate!r} sits at the {edge} bound {box[edge == 'upper']!r}",)
 
 

@@ -70,7 +70,7 @@ def test_exponential_misspec_statistic_is_its_closed_form():
     cfg = SimConfig(Kind.FIRST, Exponential(1.0), (1.0,), 50, 100, 0.05, 3, 1000)
     x = extend(Exponential(1.0), 1.0).quantile(np.random.default_rng(4).random(50))
     _, misspec = lrt_statistics(x, cfg)
-    assert misspec == pytest.approx(_misspec_of_mean(50)(x.mean()), rel=1e-9, abs=1e-9)
+    assert misspec == pytest.approx(_misspec_of_mean(50)(x.mean()), rel=1e-12)
 
 
 def test_exponential_null_misspec_law_bounds_the_calibration_and_the_size():

@@ -421,6 +421,20 @@ def test_sample_csv_rejects_malformed_input():
         sample_from_csv("# seed: abc\nvalue\n0.5\n")
 
 
+def test_sample_csv_rows_the_one_pass_cannot_read_go_through_the_line_loop():
+    # the body after the header is read by float() in one pass; a blank
+    # line, a '#' line or a bad row sends the whole body through the loop
+    edges = ["nan", "inf", "-inf", "-0.0", "5e-324", " 1.5 "]
+    plain = sample_from_csv("value\n" + "\n".join(edges) + "\n").values
+    assert plain.tobytes() == np.array([float(v) for v in edges]).tobytes()
+    looped = sample_from_csv("# seed: 1\nvalue\n0.5\n\n# seed: 9\n" + "\n".join(edges))
+    assert looped.values.tobytes() == np.array([0.5] + [float(v) for v in edges]).tobytes()
+    assert looped.seed == 9
+    with pytest.raises(ParseError) as info:
+        sample_from_csv("value\n0.5\n1.0 2.0\n0.7\n")
+    assert str(info.value) == "line 3: bad numeric row '1.0 2.0' (expected a real number)"
+
+
 @pytest.mark.parametrize("text, message", [
     ("# seed: 1\n0.5\n", "line 2: sample CSV must start with a 'value' header row "
                           "(expected value)"),
