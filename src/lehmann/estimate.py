@@ -536,8 +536,9 @@ def _checked_box(family, bounds):
             f"theta_bounds has {len(out)} component(s), family expects "
             f"{len(family.param_names)}"
         )
-    family.from_theta([np.nextafter(hi, lo) for lo, hi in out])
-    return tuple(out), family.from_theta([np.nextafter(lo, hi) for lo, hi in out])
+    inner = [_open_box(lo, hi) for lo, hi in out]
+    family.from_theta([hi for _, hi in inner])
+    return tuple(out), family.from_theta([lo for lo, _ in inner])
 
 
 def _pick_best(candidates):

@@ -439,9 +439,12 @@ def test_calibrate_logs_the_wilks_diagnostic_at_info(caplog):
     assert "Wilks chi2 df=1 would give 3.8415" in caplog.text
 
 
-def test_import_loads_no_scipy_module():
+# scipy is imported by calibrate and numpy.random by the first draw; the
+# package import loads neither
+@pytest.mark.parametrize("package", ["scipy", "numpy.random"])
+def test_import_loads_no_lazy_module(package):
     code = ("import sys, lehmann, lehmann.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith('{package}.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)

@@ -5,7 +5,7 @@ import pytest
 
 from lehmann import GENERATOR_ID, NumericalError, open_uniform, substream
 from lehmann._quadrature import integrate_unit
-from lehmann.rng import block_uniforms
+from lehmann.rng import _row_seed_type, block_uniforms
 
 
 def test_generator_id_is_pinned():
@@ -60,6 +60,16 @@ def test_block_uniforms_of_a_study_block():
     rows = np.array([open_uniform(substream(42, 3, rep), 50) for rep in reps])
     assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
     assert block_uniforms(42, 3, [], 50).shape == (0, 50)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64),
+                                            (4, np.int64)])
+def test_row_seed_refuses_all_but_four_uint64_words(n_words, dtype):
+    words = np.arange(4, dtype=np.uint64)
+    seed = _row_seed_type()(words)
+    assert seed.generate_state(4, np.uint64) is words
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        seed.generate_state(n_words, dtype)
 
 
 def test_open_uniform_strictly_inside_unit_interval():
