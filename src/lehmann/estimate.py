@@ -24,7 +24,8 @@ validated once (family, bounds box, support). A row is a (sample,
 multistart) pair. Every objective evaluation is a single call of the
 family's broadcasting log kernels for all the rows it is given (chunked
 to cap the working set), and the searches step their rows in lockstep.
-A Newton row that has stopped is not evaluated again; a Brent row whose
+A Newton row tries its step lengths in batches that double, one call per
+batch, and is not evaluated again once it has stopped; a Brent row whose
 bracket has closed keeps its state behind a mask and is evaluated at its
 best point while the other rows go on. ``_fit_block`` runs every fit,
 and alone decides that an empty box is evaluated at theta = (). The
@@ -69,7 +70,10 @@ _NEWTON_MAX_ITER = 100
 # the Levenberg shift's margin above -(smallest eigenvalue of -H), relative
 # to 1 + the largest diagonal entry
 _LEVENBERG = 1e-3
+# the step lengths 1, 1/2, ..., 2**-29, tried in batches of 1, 2, 4, 8 and
+# the 15 left, one objective call per batch
 _MAX_HALVINGS = 30
+_LENGTH_BATCHES = np.split(np.ldexp(1.0, -np.arange(_MAX_HALVINGS)), [1, 3, 7, 15])
 # sample values drawn and fitted per power-study block (the working set)
 _BLOCK_VALUES = 1 << 14
 # the most sample values one objective call evaluates: the starts of a block
@@ -447,9 +451,12 @@ def _newton_max(h, start):
     ``h(rows, u)`` evaluates row ``rows[k]``'s objective at the point
     ``u[k]``. Each iteration makes one call for the central-difference
     stencil (gradient and Hessian, spacing _STENCIL_H, centered at least
-    _STENCIL_H inside the cube) of every row still searching. The Newton
-    step (see :func:`_newton_step`) is clipped to the cube and halved, in
-    lockstep, until it strictly raises the row's value. A row stops once
+    _STENCIL_H inside the cube) of every row still searching. Along the
+    Newton step (see :func:`_newton_step`) the lengths 1, 1/2, ..., 2**-29
+    are tried in batches of 1, 2, 4, 8 and 15 lengths, one call per batch
+    for every row not yet raised; a row takes the longest length whose
+    point, clipped to the cube, strictly raises its value, as a search
+    halving one length per call would. A row stops once
     no step raises its value, once its Newton decrement is at most
     _NEWTON_TOL (after trying that last step), or once a step gains at
     most _NEWTON_GAIN * (1 + |value|), which also ends a row whose
@@ -477,22 +484,23 @@ def _newton_max(h, start):
             step, decrement, definite = _newton_step(u[active], grad, hess)
         last = definite & (decrement <= _NEWTON_TOL)
         before = value[active]
-        # lockstep backtracking over positions in ``active``; a row at its
-        # last step tries it once
+        # backtracking over positions in ``active``, a batch of lengths per
+        # call; a row takes the longest that raises it, and a row at its
+        # last step tries t = 1 alone
         pending = np.flatnonzero(np.isfinite(F).all(axis=1) & (decrement > 0.0))
         raised = np.zeros(active.size, dtype=bool)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
+        for t in _LENGTH_BATCHES:
             if pending.size == 0:
                 break
             rows = active[pending]
-            trial = np.clip(u[rows] + t * step[pending], 0.0, 1.0)
-            f = h(rows, trial)
-            up = f > value[rows]
-            u[rows[up]], value[rows[up]] = trial[up], f[up]
-            raised[pending[up]] = True
-            pending = pending[~up & ~last[pending]]
-            t *= 0.5
+            trial = np.clip(u[rows, None] + t[:, None] * step[pending, None], 0.0, 1.0)
+            f = h(np.repeat(rows, t.size), trial.reshape(-1, dim)).reshape(rows.size, t.size)
+            up = f > value[rows, None]
+            hit = up.any(axis=1)
+            k = up.argmax(axis=1)[hit]
+            u[rows[hit]], value[rows[hit]] = trial[hit, k], f[hit, k]
+            raised[pending[hit]] = True
+            pending = pending[~hit & ~last[pending]]
         after = value[active]
         small = after - before <= _NEWTON_GAIN * (1.0 + np.abs(after))
         active = active[raised & ~last & ~small]

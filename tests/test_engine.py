@@ -164,15 +164,23 @@ def test_golden_max_rows_equal_scipy_bounded_brent():
     assert min(steps) <= 2 and max(steps) >= 30
 
 
+def _cosh(peaks, scales):
+    """A smooth, non-quadratic, coupled objective, one (peak, scale) per row."""
+    def h(rows, u):
+        a = scales[rows, None] * (u - peaks[rows])
+        return -np.cosh(a[:, 0]) - np.cosh(a[:, 1] + 0.5 * a[:, 0]) + 0.3 * a[:, 0] * a[:, 1]
+
+    return h
+
+
 def _searched(peaks, scales, starts):
-    """_newton_max on a smooth, non-quadratic, coupled objective, one
-    (peak, scale) per row; returns its result and the rows of every call."""
+    """_newton_max on _cosh; returns its result and the rows of every call."""
     calls = []
+    objective = _cosh(peaks, scales)
 
     def h(rows, u):
         calls.append(rows.tolist())
-        a = scales[rows, None] * (u - peaks[rows])
-        return -np.cosh(a[:, 0]) - np.cosh(a[:, 1] + 0.5 * a[:, 0]) + 0.3 * a[:, 0] * a[:, 1]
+        return objective(rows, u)
 
     return (*_newton_max(h, starts), calls)
 
@@ -242,6 +250,150 @@ def test_rows_at_the_iteration_cap_are_reported(monkeypatch):
     x = sample(extend(Weibull(2.0, 1.0), 0.5, Kind.FIRST), 50, 2026)
     fit = fit_full(Kind.FIRST, "weibull", x, theta_bounds=((0.1, 40.0), (0.05, 20.0)))
     assert fit.warnings[-1].endswith("starts stopped at the search's iteration cap (2)")
+
+
+def _sequential_newton_max(h, start):
+    """_newton_max with one objective call per step length: t = 1, 1/2, ...,
+    2**-29 tried in turn until the step strictly raises the row's value.
+    Also returns the number of iterations and the halvings of every step
+    taken."""
+    u = np.array(start, dtype=float)
+    dim = u.shape[1]
+    offsets = estimate._stencil(dim)
+    value = h(np.arange(len(u)), u)
+    active = np.flatnonzero(np.isfinite(value))
+    capped = np.zeros(len(u), dtype=bool)
+    iterations, halvings = 0, []
+    for _ in range(estimate._NEWTON_MAX_ITER):
+        if active.size == 0:
+            break
+        iterations += 1
+        center = np.clip(u[active], estimate._STENCIL_H, 1.0 - estimate._STENCIL_H)
+        F = h(np.repeat(active, len(offsets)), (center[:, None, :] + offsets).reshape(-1, dim))
+        F = F.reshape(active.size, len(offsets))
+        with np.errstate(invalid="ignore", over="ignore"):
+            grad, hess = estimate._derivatives(F, dim)
+            grad = grad + (hess * (u[active] - center)[:, None, :]).sum(axis=2)
+            step, decrement, definite = estimate._newton_step(u[active], grad, hess)
+        last = definite & (decrement <= estimate._NEWTON_TOL)
+        before = value[active]
+        pending = np.flatnonzero(np.isfinite(F).all(axis=1) & (decrement > 0.0))
+        raised = np.zeros(active.size, dtype=bool)
+        t = 1.0
+        for k in range(estimate._MAX_HALVINGS):
+            if pending.size == 0:
+                break
+            rows = active[pending]
+            trial = np.clip(u[rows] + t * step[pending], 0.0, 1.0)
+            f = h(rows, trial)
+            up = f > value[rows]
+            u[rows[up]], value[rows[up]] = trial[up], f[up]
+            raised[pending[up]] = True
+            halvings += [k] * int(up.sum())
+            pending = pending[~up & ~last[pending]]
+            t *= 0.5
+        after = value[active]
+        small = after - before <= estimate._NEWTON_GAIN * (1.0 + np.abs(after))
+        active = active[raised & ~last & ~small]
+    else:
+        capped[active] = True
+    return u, value, capped, iterations, halvings
+
+
+def _weibull_profile(seed, rows=8):
+    """The first-kind Weibull profile objective of _fit_block on the unit
+    cube, and its multistarts: ``rows`` samples of n 50 drawn at lambda 0.5,
+    in the default box."""
+    cfg = _cfg(Weibull(2.0, 1.0), Kind.FIRST, n=50, seed=seed)
+    X = _draw_block(cfg, extend(cfg.base, 0.5, Kind.FIRST), 0, range(rows))
+    h = estimate._scorer(Kind.FIRST, Weibull, X, None)
+    to_theta = _unit_map(cfg.theta_bounds)
+    starts = _unit_starts(2)
+    sample_of = np.repeat(np.arange(rows), len(starts))
+    return (lambda rows, u: h(to_theta(u), sample_of[rows])), np.tile(starts, (rows, 1))
+
+
+def _newton_cases():
+    peaks = np.array([[0.3, 0.6], [0.7, 0.2], [0.5, 0.5], [0.4, 0.8]])
+    yield ("cosh", _cosh(peaks, np.array([1.0, 3.0, 8.0, 20.0])),
+           np.array([[0.31, 0.59], [0.5, 0.5], [0.9, 0.1], [0.1, 0.1]]))
+    for seed in (11, 12):
+        yield (f"weibull-{seed}", *_weibull_profile(seed))
+
+
+@pytest.mark.parametrize("case", list(_newton_cases()), ids=lambda case: case[0])
+def test_newton_max_batched_lengths_give_the_sequential_bits(case):
+    # the step lengths are tried in batches of 1, 2, 4, 8 and 15 lengths,
+    # one call per batch; every row takes the longest length that raises
+    # it, as the one-length-per-call loop does, bit for bit
+    _, objective, starts = case
+    calls = []
+
+    def h(rows, u):
+        calls.append(rows)
+        return objective(rows, u)
+
+    u, value, capped = _newton_max(h, starts)
+    reference_calls = []
+    ref_u, ref_value, ref_capped, iterations, halvings = _sequential_newton_max(
+        lambda rows, u: reference_calls.append(rows) or objective(rows, u), starts)
+    assert u.tobytes() == ref_u.tobytes() and value.tobytes() == ref_value.tobytes()
+    assert capped.tolist() == ref_capped.tolist()
+    assert len(calls) <= len(reference_calls) and len(calls) <= 1 + 6 * iterations
+    if case[0].startswith("weibull"):
+        # steps that need many halvings, which batches of 8 or more take in one call
+        assert max(halvings) >= 8 and len(calls) < len(reference_calls)
+    # after each stencil call (every row 9 times), the trial calls hold every
+    # pending row 1, 2, 4, 8 and 15 times, in that order
+    batches = []
+    for rows in calls[1:]:
+        repeats = int(np.unique(rows, return_counts=True)[1][0])
+        if repeats == 9:
+            batches.append([])
+        else:
+            batches[-1].append(repeats)
+    assert len(batches) == iterations
+    assert all(b == [1, 2, 4, 8, 15][:len(b)] for b in batches)
+
+
+def _scripted_newton_max(start, peak, raises_at):
+    """One iteration of _newton_max on one row whose stencil sees -|u -
+    peak|**2 (so the step is peak - start) and whose value is 0 at the
+    start; a trial point at length 2**-k scores 1 if ``raises_at(k)``, else
+    -1. Returns the result and the lengths k of every trial call."""
+    span = (peak - start)[0]
+    batches = []
+
+    def h(rows, u):
+        if len(u) == 9:  # the stencil
+            return -((u - peak) ** 2).sum(axis=1)
+        if (u == start).all():  # the start; no trial point is at it
+            return np.zeros(1)
+        ks = [round(-math.log2((v - start[0]) / span)) for v in u[:, 0]]
+        batches.append(ks)
+        return np.where([raises_at(k) for k in ks], 1.0, -1.0)
+
+    u, value, capped = _newton_max(h, start[None, :])
+    return u[0], value[0], capped[0], batches
+
+
+def test_newton_max_length_ladder_edges(monkeypatch):
+    monkeypatch.setattr(estimate, "_NEWTON_MAX_ITER", 1)
+    start, peak = np.array([0.5, 0.5]), np.array([0.7, 0.6])
+    ladder = [[0], [1, 2], [3, 4, 5, 6], list(range(7, 15)), list(range(15, 30))]
+    # a value that rises only at the shortest length, 2**-29, is still taken
+    u, value, capped, batches = _scripted_newton_max(start, peak, lambda k: k == 29)
+    assert batches == ladder and value == 1.0 and capped
+    assert abs((u - start)[0] / (peak - start)[0] * 2.0 ** 29 - 1.0) < 1e-5
+    # one that rises only at 2**-30 is never tried: the row stays unraised and stops
+    u, value, capped, batches = _scripted_newton_max(start, peak, lambda k: k == 30)
+    assert batches == ladder and value == 0.0 and not capped
+    assert (u == start).all()
+    # a row at its last step (Newton decrement at most _NEWTON_TOL) tries
+    # t = 1 alone, and stops where it is when that does not raise it
+    near = peak + 1e-7
+    u, value, capped, batches = _scripted_newton_max(near, peak, lambda k: False)
+    assert batches == [[0]] and value == 0.0 and not capped and (u == near).all()
 
 
 def _reference_fit(kind, family, x, bounds, lam, extras):
