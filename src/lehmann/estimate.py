@@ -456,14 +456,14 @@ def _newton_max(h, start):
     are tried in batches of 1, 2, 4, 8 and 15 lengths, one call per batch
     for every row not yet raised; a row takes the longest length whose
     point, clipped to the cube, strictly raises its value, as a search
-    halving one length per call would. A row stops once
-    no step raises its value, once its Newton decrement is at most
-    _NEWTON_TOL (after trying that last step), or once a step gains at
-    most _NEWTON_GAIN * (1 + |value|), which also ends a row whose
-    objective is flat in some direction; a row that has stopped is not
-    evaluated again, and a row with a non-finite value or stencil stops
-    where it is. Returns the point and value of every row, and the mask
-    of rows still searching at the iteration cap.
+    halving one length per call would. A row stops once no step raises
+    its value, once its Newton decrement is at most _NEWTON_TOL (after
+    trying that last step), or once a step gains at most _NEWTON_GAIN *
+    (1 + |value|), which also ends a row whose objective is flat in some
+    direction; a row that has stopped is not evaluated again, and a row
+    with a non-finite value or stencil stops where it is. Returns the
+    point and value of every row, and the mask of rows still searching
+    at the iteration cap.
     """
     u = np.array(start, dtype=float)
     dim = u.shape[1]
